@@ -15,7 +15,6 @@ from .bounds import (
     RAO_FORWARD,
     RAO_INVERSE,
     SCALAR,
-    BoundQuery,
     BoundReport,
     banach_dual_bound,
     banach_mahalanobis_bound,

@@ -14,6 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,8 @@ INEQUALITIES = (
     BANACH_DUAL,
     BANACH_MAHALANOBIS,
 )
+HILBERT_ONLY = (EUCLIDEAN, GRENANDER, CHEN, RAO_FORWARD, RAO_INVERSE)
+CENTERED_ONLY = (CHEN, RAO_FORWARD, RAO_INVERSE)
 
 EXACT_ENUMERATION = "exact-enumeration"
 MONTE_CARLO = "monte-carlo"
@@ -68,21 +71,6 @@ def _check_epsilon(epsilon: float) -> float:
     if not (epsilon > 0.0 and math.isfinite(epsilon)):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     return epsilon
-
-
-@dataclass(frozen=True)
-class BoundQuery:
-    """A single (inequality, epsilon) evaluation request."""
-
-    epsilon: float
-    inequality: str
-
-    def __post_init__(self):
-        _check_epsilon(self.epsilon)
-        if self.inequality not in INEQUALITIES:
-            raise ValueError(
-                f"inequality must be one of {INEQUALITIES}, got {self.inequality!r}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,17 +146,13 @@ class _Prepared:
     detail: dict
 
 
-def _tail_probability(prepared: _Prepared, epsilon: float) -> float:
+def _evaluate(prepared: _Prepared, epsilon: float) -> BoundReport:
+    epsilon = _check_epsilon(epsilon)
     if prepared.strict:
         mask = prepared.values > epsilon
     else:
         mask = prepared.values >= epsilon
-    return float(prepared.weights[mask].sum())
-
-
-def _evaluate(prepared: _Prepared, epsilon: float) -> BoundReport:
-    epsilon = _check_epsilon(epsilon)
-    lhs = _tail_probability(prepared, epsilon)
+    lhs = float(prepared.weights[mask].sum())
     rhs = prepared.scale / epsilon**prepared.power
     return _report(
         prepared.inequality, epsilon, lhs, rhs, EXACT_ENUMERATION, detail=prepared.detail
@@ -194,6 +178,32 @@ def _quadratic_values(atoms: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return np.einsum("ij,jk,ik->i", atoms, matrix, atoms)
 
 
+class _MeasureState:
+    """A measure with its operator, inverse and per-atom Mahalanobis statistic.
+
+    Each is computed on first use and shared by every inequality and epsilon
+    evaluated on it.  A caller that already holds the operator passes it in.
+    """
+
+    def __init__(self, measure: DiscreteMeasure, operator: CovarianceOperator | None = None):
+        self.measure = measure
+        if operator is not None:
+            self.operator = operator  # takes the place of the cached build
+
+    @cached_property
+    def operator(self) -> CovarianceOperator:
+        return build(self.measure)
+
+    @cached_property
+    def inverse(self) -> InverseOperator:
+        return invert(self.operator)
+
+    @cached_property
+    def mahalanobis(self) -> np.ndarray:
+        """(S^{-1} x, x) for every atom x."""
+        return mahalanobis(self.inverse, self.measure.atoms)
+
+
 def _norm_detail(interval) -> dict:
     return {
         "norm_lower": interval.lower,
@@ -202,7 +212,8 @@ def _norm_detail(interval) -> dict:
     }
 
 
-def _prepare_scalar(measure: DiscreteMeasure) -> _Prepared:
+def _prepare_scalar(state: _MeasureState) -> _Prepared:
+    measure = state.measure
     if measure.space.dim != 1:
         raise ShapeError(f"scalar bound needs dim = 1, got {measure.space.dim}")
     center = mean(measure)[0]
@@ -211,49 +222,38 @@ def _prepare_scalar(measure: DiscreteMeasure) -> _Prepared:
     return _Prepared(SCALAR, deviations, measure.weights, False, variance, 2, {})
 
 
-def _prepare_euclidean(measure: DiscreteMeasure) -> _Prepared:
-    _require_hilbert(measure, EUCLIDEAN)
+def _prepare_euclidean(state: _MeasureState) -> _Prepared:
+    measure = state.measure
     centered = measure.atoms - mean(measure)
     deviations = p_norm_rows(centered, 2.0)
     variance = float(np.dot(measure.weights, deviations**2))
     return _Prepared(EUCLIDEAN, deviations, measure.weights, False, variance, 2, {})
 
 
-def _prepare_grenander(measure: DiscreteMeasure) -> _Prepared:
-    _require_hilbert(measure, GRENANDER)
+def _prepare_grenander(state: _MeasureState) -> _Prepared:
+    measure = state.measure
     norms = p_norm_rows(measure.atoms, 2.0)
     return _Prepared(GRENANDER, norms, measure.weights, False, second_moment(measure), 2, {})
 
 
-def _prepare_chen(measure: DiscreteMeasure) -> _Prepared:
-    _require_hilbert(measure, CHEN)
-    _require_centered(measure, CHEN)
-    inverse = invert(build(measure))
-    values = mahalanobis(inverse, measure.atoms)
-    return _Prepared(CHEN, values, measure.weights, False, float(measure.space.dim), 1, {})
+def _prepare_chen(state: _MeasureState) -> _Prepared:
+    dim = float(state.measure.space.dim)
+    return _Prepared(CHEN, state.mahalanobis, state.measure.weights, False, dim, 1, {})
 
 
-def _prepare_rao_forward(measure: DiscreteMeasure) -> _Prepared:
-    _require_hilbert(measure, RAO_FORWARD)
-    _require_centered(measure, RAO_FORWARD)
-    operator = build(measure)
-    values = _quadratic_values(measure.atoms, operator.matrix)
-    scale = operator.second_moment**2
-    return _Prepared(RAO_FORWARD, values, measure.weights, True, scale, 1, {})
+def _prepare_rao_forward(state: _MeasureState) -> _Prepared:
+    values = _quadratic_values(state.measure.atoms, state.operator.matrix)
+    scale = state.operator.second_moment**2
+    return _Prepared(RAO_FORWARD, values, state.measure.weights, True, scale, 1, {})
 
 
-def _prepare_rao_inverse(measure: DiscreteMeasure) -> _Prepared:
-    _require_hilbert(measure, RAO_INVERSE)
-    _require_centered(measure, RAO_INVERSE)
-    operator = build(measure)
-    inverse = invert(operator)
-    values = mahalanobis(inverse, measure.atoms)
+def _prepare_rao_inverse(state: _MeasureState) -> _Prepared:
+    interval = state.inverse.norm_interval
     # the 2->2 norm is exact, so upper == lower here
-    norm = inverse.norm_interval.upper
-    scale = (norm * operator.second_moment) ** 2
+    scale = (interval.upper * state.operator.second_moment) ** 2
     return _Prepared(
-        RAO_INVERSE, values, measure.weights, True, scale, 1,
-        _norm_detail(inverse.norm_interval),
+        RAO_INVERSE, state.mahalanobis, state.measure.weights, True, scale, 1,
+        _norm_detail(interval),
     )
 
 
@@ -270,36 +270,34 @@ def _prepare_banach_dual(operator: CovarianceOperator, pstar: DiscreteMeasure) -
     return _Prepared(BANACH_DUAL, values, pstar.weights, False, scale, 1, {})
 
 
-def _prepare_banach_mahalanobis(measure: DiscreteMeasure) -> _Prepared:
-    operator = build(measure)
-    inverse = invert(operator)
-    values = mahalanobis(inverse, measure.atoms)
+def _prepare_banach_mahalanobis(state: _MeasureState) -> _Prepared:
+    interval = state.inverse.norm_interval
     # an inexact norm bracket is consumed through its certified upper endpoint
-    scale = inverse.norm_interval.upper**2 * operator.second_moment**2
+    scale = interval.upper**2 * state.operator.second_moment**2
     return _Prepared(
-        BANACH_MAHALANOBIS, values, measure.weights, False, scale, 1,
-        _norm_detail(inverse.norm_interval),
+        BANACH_MAHALANOBIS, state.mahalanobis, state.measure.weights, False, scale, 1,
+        _norm_detail(interval),
     )
 
 
 def scalar_chebyshev(measure: DiscreteMeasure, epsilon: float) -> BoundReport:
     """P{|X - EX| >= eps} <= Var(X)/eps^2 for a one-dimensional measure."""
-    return _evaluate(_prepare_scalar(measure), epsilon)
+    return _evaluate(_prepare(SCALAR, _MeasureState(measure)), epsilon)
 
 
 def euclidean_chebyshev(measure: DiscreteMeasure, epsilon: float) -> BoundReport:
     """P{||X - EX|| >= eps} <= E||X - EX||^2 / eps^2 in the Euclidean norm."""
-    return _evaluate(_prepare_euclidean(measure), epsilon)
+    return _evaluate(_prepare(EUCLIDEAN, _MeasureState(measure)), epsilon)
 
 
 def grenander(measure: DiscreteMeasure, epsilon: float) -> BoundReport:
     """Uncentered Hilbert version: P{||X|| >= eps} <= E||X||^2 / eps^2."""
-    return _evaluate(_prepare_grenander(measure), epsilon)
+    return _evaluate(_prepare(GRENANDER, _MeasureState(measure)), epsilon)
 
 
 def chen(measure: DiscreteMeasure, epsilon: float) -> BoundReport:
     """P{X^T Sigma^{-1} X >= eps} <= dim/eps for a centered measure."""
-    return _evaluate(_prepare_chen(measure), epsilon)
+    return _evaluate(_prepare(CHEN, _MeasureState(measure)), epsilon)
 
 
 def rao(measure: DiscreteMeasure, epsilon: float) -> tuple[BoundReport, BoundReport]:
@@ -308,8 +306,9 @@ def rao(measure: DiscreteMeasure, epsilon: float) -> tuple[BoundReport, BoundRep
     Forward: P{(SX, X) > eps} <= (E||X||^2)^2 / eps.
     Inverse: P{(S^{-1}X, X) > eps} <= (||S^{-1}|| E||X||^2)^2 / eps.
     """
-    forward = _evaluate(_prepare_rao_forward(measure), epsilon)
-    inverse = _evaluate(_prepare_rao_inverse(measure), epsilon)
+    state = _MeasureState(measure)
+    forward = _evaluate(_prepare(RAO_FORWARD, state), epsilon)
+    inverse = _evaluate(_prepare(RAO_INVERSE, state), epsilon)
     return forward, inverse
 
 
@@ -329,18 +328,18 @@ def banach_mahalanobis_bound(measure: DiscreteMeasure, epsilon: float) -> BoundR
     The p->q norm of the inverse may be a bracket; the bound uses the upper
     endpoint and the report's detail carries both endpoints.
     """
-    return _evaluate(_prepare_banach_mahalanobis(measure), epsilon)
+    return _evaluate(_prepare(BANACH_MAHALANOBIS, _MeasureState(measure)), epsilon)
 
 
-def _prepare(
-    inequality: str,
-    measure: DiscreteMeasure,
-    pstar: DiscreteMeasure | None = None,
-) -> _Prepared:
+def _prepare(inequality: str, state: _MeasureState, pstar=None) -> _Prepared:
+    if inequality in HILBERT_ONLY:
+        _require_hilbert(state.measure, inequality)
+    if inequality in CENTERED_ONLY:
+        _require_centered(state.measure, inequality)
     if inequality == BANACH_DUAL:
         if pstar is None:
             raise ValueError("banach_dual needs a dual measure (pstar)")
-        return _prepare_banach_dual(build(measure), pstar)
+        return _prepare_banach_dual(state.operator, pstar)
     preparers = {
         SCALAR: _prepare_scalar,
         EUCLIDEAN: _prepare_euclidean,
@@ -352,7 +351,7 @@ def _prepare(
     }
     if inequality not in preparers:
         raise ValueError(f"inequality must be one of {INEQUALITIES}, got {inequality!r}")
-    return preparers[inequality](measure)
+    return preparers[inequality](state)
 
 
 def sweep(
@@ -366,14 +365,12 @@ def sweep(
     The statistic is enumerated once; only the threshold moves, so the LHS
     is non-increasing and the RHS strictly decreasing along the grid.
     """
-    grid = [float(e) for e in epsilon_grid]
+    grid = [_check_epsilon(e) for e in epsilon_grid]
     if not grid:
         raise ValueError("epsilon grid must not be empty")
-    for value in grid:
-        _check_epsilon(value)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("epsilon grid must be strictly ascending")
-    prepared = _prepare(inequality, measure, pstar)
+    prepared = _prepare(inequality, _MeasureState(measure), pstar)
     return [_evaluate(prepared, epsilon) for epsilon in grid]
 
 
@@ -398,7 +395,12 @@ def mc_tail(
     takes no operator.  The half-width 3 sqrt(lhs(1-lhs)/n) is folded into
     `holds` so sampling noise cannot flag a spurious violation.
     """
-    epsilon = _check_epsilon(epsilon)
+    return _mc_grid(sampler, statistic, operator, [epsilon], n_draws, seed)[0]
+
+
+def _mc_grid(sampler, statistic, operator, epsilons, n_draws, seed=None) -> list[BoundReport]:
+    """mc_tail at every epsilon, all on one sample drawn once."""
+    epsilons = [_check_epsilon(epsilon) for epsilon in epsilons]
     if statistic not in MC_STATISTICS:
         raise ValueError(f"statistic must be one of {MC_STATISTICS}, got {statistic!r}")
     if n_draws < MC_MIN_DRAWS:
@@ -412,8 +414,7 @@ def mc_tail(
         if operator is not None:
             raise ValueError("statistic 'norm' takes no operator")
         values = p_norm_rows(draws, sampler.space.p)
-        moment = float(np.mean(values**2))
-        rhs = moment / epsilon**2
+        scale, power = float(np.mean(values**2)), 2
         inequality = GRENANDER
     elif statistic == "quad_S":
         if not isinstance(operator, CovarianceOperator):
@@ -422,7 +423,7 @@ def mc_tail(
             raise ShapeError("sampler and operator dimensions differ")
         values = _quadratic_values(draws, operator.matrix)
         dual_moment = float(np.mean(p_norm_rows(draws, operator.space.q) ** 2))
-        rhs = dual_moment * operator.second_moment / epsilon
+        scale, power = dual_moment * operator.second_moment, 1
         inequality = BANACH_DUAL
     else:
         if not isinstance(operator, InverseOperator):
@@ -431,13 +432,17 @@ def mc_tail(
             raise ShapeError("sampler and operator dimensions differ")
         values = mahalanobis(operator, draws)
         moment = float(np.mean(p_norm_rows(draws, operator.space.p) ** 2))
-        rhs = operator.norm_interval.upper**2 * moment**2 / epsilon
+        scale, power = operator.norm_interval.upper**2 * moment**2, 1
         inequality = BANACH_MAHALANOBIS
         detail = _norm_detail(operator.norm_interval)
 
-    lhs = float(np.count_nonzero(values >= epsilon)) / n_draws
-    half_width = MC_CI_MULTIPLIER * math.sqrt(lhs * (1.0 - lhs) / n_draws)
-    return _report(inequality, epsilon, lhs, rhs, MONTE_CARLO, half_width, detail)
+    reports = []
+    for epsilon in epsilons:
+        lhs = float(np.count_nonzero(values >= epsilon)) / n_draws
+        half_width = MC_CI_MULTIPLIER * math.sqrt(lhs * (1.0 - lhs) / n_draws)
+        rhs = scale / epsilon**power
+        reports.append(_report(inequality, epsilon, lhs, rhs, MONTE_CARLO, half_width, detail))
+    return reports
 
 
 def _format_cell(value) -> str:

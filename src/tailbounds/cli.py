@@ -17,38 +17,30 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import (
-    CHEN,
-    EUCLIDEAN,
-    GRENANDER,
+    HILBERT_ONLY,
     INEQUALITIES,
-    RAO_FORWARD,
-    RAO_INVERSE,
     REPORT_FIELDS,
     SCALAR,
-    mc_tail,
+    _evaluate,
+    _MeasureState,
+    _mc_grid,
+    _prepare,
     report_to_row,
     rows_to_csv,
     rows_to_json,
     sort_rows,
-    sweep,
 )
 from .covop import build, cauchy_estimate, invert, load_operator
 from .errors import CenteringError, NotPositiveDefiniteError, TailboundsError
 from .hilbert import (
-    bound_equivalence,
+    _equivalence_grid,
     hilbert_covariance,
     inverse_norm_pair,
     isometry_pushforward_moment,
     riesz,
     verify_ST_equals_SH,
 )
-from .measure import (
-    load_measure,
-    load_sampler,
-    quantize,
-    quantize_points,
-    save_measure,
-)
+from .measure import load_measure, load_sampler, quantize_draws, save_measure
 from .space import ROLE_DUAL, ROLE_PRIMAL, conjugate_exponent, p_norm, p_norm_rows
 
 COMMANDS = ("verify", "sweep", "quantize", "mc", "reduce")
@@ -61,8 +53,6 @@ SKIP_NOT_PD = "skipped: not positive definite"
 SKIP_NOT_CENTERED = "skipped: not centered"
 SKIP_NEEDS_P2 = "skipped: stated for p = 2"
 SKIP_NEEDS_DIM1 = "skipped: needs dim = 1"
-
-HILBERT_ONLY = (EUCLIDEAN, GRENANDER, CHEN, RAO_FORWARD, RAO_INVERSE)
 
 
 class UsageError(ValueError):
@@ -199,6 +189,7 @@ def cmd_verify(config: RunConfig) -> int:
         # default functional sample: the same atoms read as functionals
         pstar = replace(measure, role=ROLE_DUAL)
 
+    state = _MeasureState(measure)
     rows: list = []
     for name in names:
         reason = _static_skip_reason(name, measure)
@@ -208,14 +199,14 @@ def cmd_verify(config: RunConfig) -> int:
             rows.extend(_skip_row(name, eps, reason) for eps in config.epsilons)
             continue
         try:
-            reports = sweep(name, measure, config.epsilons, pstar=pstar)
+            prepared = _prepare(name, state, pstar)
         except NotPositiveDefiniteError:
             rows.extend(_skip_row(name, eps, SKIP_NOT_PD) for eps in config.epsilons)
             continue
         except CenteringError:
             rows.extend(_skip_row(name, eps, SKIP_NOT_CENTERED) for eps in config.epsilons)
             continue
-        rows.extend(report_to_row(report) for report in reports)
+        rows.extend(report_to_row(_evaluate(prepared, eps)) for eps in config.epsilons)
     return _finish_rows(config, rows)
 
 
@@ -226,52 +217,48 @@ def cmd_mc(config: RunConfig) -> int:
         if not config.operator_path:
             raise UsageError(f"statistic {config.statistic!r} needs --operator")
         operator = load_operator(config.operator_path)
-    rows: list = []
-    for epsilon in config.epsilons:
-        if config.statistic == "mahalanobis_S":
-            try:
-                prepared = invert(operator)
-            except NotPositiveDefiniteError:
-                rows.append(_skip_row("banach_mahalanobis", epsilon, SKIP_NOT_PD))
-                continue
-        else:
-            prepared = operator
-        report = mc_tail(
-            sampler, config.statistic, prepared, epsilon, config.draws, seed=config.seed
-        )
-        rows.append(report_to_row(report))
-    return _finish_rows(config, rows)
+    if config.statistic == "mahalanobis_S":
+        try:
+            operator = invert(operator)
+        except NotPositiveDefiniteError:
+            rows = [_skip_row("banach_mahalanobis", eps, SKIP_NOT_PD) for eps in config.epsilons]
+            return _finish_rows(config, rows)
+    reports = _mc_grid(
+        sampler, config.statistic, operator, config.epsilons, config.draws, seed=config.seed
+    )
+    return _finish_rows(config, [report_to_row(report) for report in reports])
 
 
 def cmd_quantize(config: RunConfig) -> int:
     sampler = replace(load_sampler(config.input_path), seed=config.seed)
     delta = config.resolution
     n = config.n_samples
-    snapped = quantize(sampler, n, delta)
+    if n < 1:
+        raise ValueError(f"n_samples must be positive, got {n}")
+    raw = sampler.draw_block(0, n)  # the one sample every output below is built from
+    snapped = quantize_draws(sampler.space, raw, delta)
+    coarse = quantize_draws(sampler.space, raw, delta, merge=False)
+    fine = quantize_draws(sampler.space, raw, delta / 2.0, merge=False)
 
     p = sampler.space.p
     dim = sampler.space.dim
-    raw = sampler.draw_block(0, n)
     rng = np.random.default_rng(config.seed)
     functional = rng.standard_normal(dim)
     functional /= p_norm(functional, conjugate_exponent(p))
 
-    def error_stats(resolution: float) -> dict:
-        grid = quantize_points(raw, resolution)
+    def error_stats(coupled, resolution: float) -> dict:
         return {
             "resolution": resolution,
-            "max_error": float(p_norm_rows(grid - raw, p).max()),
+            "max_error": float(p_norm_rows(coupled.atoms - raw, p).max()),
             "error_bound": resolution * dim ** (1.0 / p),
-            "shrink_ok": bool(np.all(np.abs(grid) <= np.abs(raw))),
+            "shrink_ok": bool(np.all(np.abs(coupled.atoms) <= np.abs(raw))),
         }
 
-    coarse = quantize(sampler, n, delta, merge=False)
-    fine = quantize(sampler, n, delta / 2.0, merge=False)
     lhs, rhs, holds = cauchy_estimate(coarse, fine, functional)
     report = {
         "n_samples": n,
-        "quantization": error_stats(delta),
-        "halved": error_stats(delta / 2.0),
+        "quantization": error_stats(coarse, delta),
+        "halved": error_stats(fine, delta / 2.0),
         "cauchy": {
             "functional": functional.tolist(),
             "lhs": lhs,
@@ -301,11 +288,12 @@ def cmd_reduce(config: RunConfig) -> int:
     measure = load_measure(config.input_path)
     transport = riesz(measure.space)  # raises on p != 2, naming the rule
     operator = build(measure)
+    state = _MeasureState(measure, operator)  # shared by every check and every epsilon
     matrix_gap = float(
         np.abs(operator.matrix - hilbert_covariance(measure, transport)).max()
     )
-    operator_gap = verify_ST_equals_SH(measure, transport, seed=config.seed)
-    direct_norm, alternate_norm = inverse_norm_pair(measure, transport)
+    operator_gap = verify_ST_equals_SH(measure, transport, seed=config.seed, operator=operator)
+    direct_norm, alternate_norm = inverse_norm_pair(measure, transport, inverse=state.inverse)
     norm_scale = max(abs(direct_norm), abs(alternate_norm), 1.0)
     moment_lhs, moment_rhs, moment_equal = isometry_pushforward_moment(measure, transport)
 
@@ -319,8 +307,7 @@ def cmd_reduce(config: RunConfig) -> int:
         failures.append("inverse norms differ between routes")
     if not moment_equal:
         failures.append("moment transport identity fails")
-    for epsilon in config.epsilons:
-        result = bound_equivalence(measure, epsilon)
+    for epsilon, result in zip(config.epsilons, _equivalence_grid(state, config.epsilons)):
         entry = {
             "epsilon": epsilon,
             "forward": {
@@ -382,15 +369,14 @@ def _build_parser() -> _Parser:
             group.add_argument("--epsilon", type=float, default=None)
             group.add_argument("--grid", default=None, help="start:stop:points,log|lin")
 
-    verify = commands.add_parser("verify", help="evaluate inequalities on a measure")
-    add_common(verify)
-    verify.add_argument("--inequality", default="all", help="name or 'all'")
-    verify.add_argument("--dual-input", default=None, help="dual measure JSON for banach_dual")
-
-    sweep_cmd = commands.add_parser("sweep", help="same as verify, meant for grids")
-    add_common(sweep_cmd)
-    sweep_cmd.add_argument("--inequality", default="all", help="name or 'all'")
-    sweep_cmd.add_argument("--dual-input", default=None, help="dual measure JSON for banach_dual")
+    for name, summary in (
+        ("verify", "evaluate inequalities on a measure"),
+        ("sweep", "same as verify, meant for grids"),
+    ):
+        sub = commands.add_parser(name, help=summary)
+        add_common(sub)
+        sub.add_argument("--inequality", default="all", help="name or 'all'")
+        sub.add_argument("--dual-input", default=None, help="dual measure JSON for banach_dual")
 
     mc = commands.add_parser("mc", help="Monte Carlo tail frequencies from a sampler")
     add_common(mc)

@@ -15,20 +15,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
+    BANACH_DUAL,
+    BANACH_MAHALANOBIS,
+    RAO_FORWARD,
+    RAO_INVERSE,
     BoundReport,
-    banach_dual_bound,
-    banach_mahalanobis_bound,
-    rao,
+    _evaluate,
+    _MeasureState,
+    _prepare,
+    _require_centered,
+    _require_hilbert,
 )
 from .covop import (
     CovarianceOperator,
+    InverseOperator,
     accumulate_outer,
     build,
     invert,
-    mahalanobis,
 )
-from .errors import ApplicabilityError, CenteringError, RoleError, ShapeError
-from .measure import DiscreteMeasure, mean, pushforward, second_moment
+from .errors import ApplicabilityError, RoleError, ShapeError
+from .measure import DiscreteMeasure, pushforward, second_moment
 from .space import PNormSpace, ROLE_DUAL, ROLE_PRIMAL
 
 GRAM_EIGENVALUE_FLOOR = 1e-12  # relative to the trace
@@ -95,11 +101,6 @@ def riesz(space: PNormSpace, gram=None) -> RieszMap:
     return RieszMap(g)
 
 
-def _require_hilbert_measure(measure: DiscreteMeasure, what: str) -> None:
-    if measure.space.p != 2.0:
-        raise ApplicabilityError(f"{what} is stated for p = 2, got p = {measure.space.p}")
-
-
 def _require_matching(measure: DiscreteMeasure, transport: RieszMap) -> None:
     if transport.dim != measure.space.dim:
         raise ShapeError(
@@ -114,7 +115,7 @@ def hilbert_covariance(measure: DiscreteMeasure, transport: RieszMap) -> np.ndar
     dual-space operator, so with the identity gram the two matrices are
     bitwise equal, which is the matrix-level form of the reduction identity.
     """
-    _require_hilbert_measure(measure, "the quadratic-form operator")
+    _require_hilbert(measure, "the quadratic-form operator")
     _require_matching(measure, transport)
     if measure.role != ROLE_PRIMAL:
         raise RoleError("the quadratic-form operator is built from a primal measure")
@@ -127,16 +128,18 @@ def verify_ST_equals_SH(
     transport: RieszMap,
     n_trials: int = 100,
     seed: int = 0,
+    operator: CovarianceOperator | None = None,
 ) -> float:
     """Max relative gap between (S T y, y)_H and the atom-sum quadratic form.
 
-    The first route goes through the dual-space operator matrix, the second
-    enumerates sum_i w_i (x_i, y)_H^2 directly; the gap over random y is
-    rounding-level (<= 1e-12 relative) whenever the identity holds.
+    The first route goes through the dual-space operator matrix (built unless
+    passed in), the second enumerates sum_i w_i (x_i, y)_H^2 directly; the gap
+    over random y is rounding-level (<= 1e-12 relative) whenever the identity holds.
     """
-    _require_hilbert_measure(measure, "the reduction identity")
+    _require_hilbert(measure, "the reduction identity")
     _require_matching(measure, transport)
-    operator = build(measure)
+    if operator is None:
+        operator = build(measure)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_trials):
@@ -160,7 +163,7 @@ def isometry_pushforward_moment(
     With the identity gram both sides are the same computation on the same
     arrays and agree exactly.
     """
-    _require_hilbert_measure(measure, "the moment-transport identity")
+    _require_hilbert(measure, "the moment-transport identity")
     _require_matching(measure, transport)
     if transport.is_identity:
         # the pushforward through the identity IS the measure; re-summing it
@@ -183,21 +186,24 @@ def isometry_pushforward_moment(
     return lhs, rhs, equal
 
 
-def inverse_norm_pair(measure: DiscreteMeasure, transport: RieszMap) -> tuple[float, float]:
+def inverse_norm_pair(
+    measure: DiscreteMeasure, transport: RieszMap, inverse: InverseOperator | None = None
+) -> tuple[float, float]:
     """2->2 norm of the inverse computed through both construction routes.
 
-    The first number inverts the dual-space operator, the second inverts the
-    quadratic-form matrix; with the identity gram the inputs are bitwise
-    equal, so the outputs must be equal as floats.
+    The first number inverts the dual-space operator (or takes its inverse
+    as passed in), the second inverts the quadratic-form matrix; with the
+    identity gram the inputs are bitwise equal, so the outputs must be equal.
     """
-    _require_hilbert_measure(measure, "the inverse-norm identity")
+    _require_hilbert(measure, "the inverse-norm identity")
     _require_matching(measure, transport)
     if not transport.is_identity:
         raise ValueError("the inverse-norm identity is checked with the identity gram")
-    direct = invert(build(measure)).norm_interval.upper
+    if inverse is None:
+        inverse = invert(build(measure))
     matrix = hilbert_covariance(measure, transport)
     alternate = CovarianceOperator(matrix, measure.space, second_moment(measure))
-    return direct, invert(alternate).norm_interval.upper
+    return inverse.norm_interval.upper, invert(alternate).norm_interval.upper
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,30 +253,27 @@ def bound_equivalence(measure: DiscreteMeasure, epsilon: float) -> EquivalenceRe
     sits exactly on the epsilon boundary, where the strict and non-strict
     events part ways.
     """
-    _require_hilbert_measure(measure, "the bound equivalence")
-    worst_mean = float(np.abs(mean(measure)).max())
-    if worst_mean > 1e-12:
-        raise CenteringError(
-            f"the bound equivalence needs a centered measure; mean deviates by {worst_mean!r}"
-        )
-    transport = riesz(measure.space)
-    operator = build(measure)
-    image = pushforward(measure, transport.gram, role=ROLE_DUAL)
+    return _equivalence_grid(_MeasureState(measure), [epsilon])[0]
 
-    forward_banach = banach_dual_bound(operator, image, epsilon)
-    forward_hilbert, inverse_hilbert = rao(measure, epsilon)
-    inverse_banach = banach_mahalanobis_bound(measure, epsilon)
 
+def _equivalence_grid(state: _MeasureState, epsilons) -> list[EquivalenceResult]:
+    """bound_equivalence at every epsilon of an ascending grid, on one shared state."""
+    _require_hilbert(state.measure, "the bound equivalence")
+    _require_centered(state.measure, "the bound equivalence")
+    image = pushforward(state.measure, riesz(state.measure.space).gram, role=ROLE_DUAL)
+    forward_banach = _prepare(BANACH_DUAL, state, image)
+    forward_hilbert = _prepare(RAO_FORWARD, state)
+    inverse_hilbert = _prepare(RAO_INVERSE, state)
+    inverse_banach = _prepare(BANACH_MAHALANOBIS, state)
     # boundary atoms are detected by exact comparison, mirroring the events
-    forward_values = np.einsum(
-        "ij,jk,ik->i", measure.atoms, operator.matrix, measure.atoms
-    )
-    inverse_values = mahalanobis(invert(operator), measure.atoms)
-    return EquivalenceResult(
-        forward_banach=forward_banach,
-        forward_hilbert=forward_hilbert,
-        inverse_banach=inverse_banach,
-        inverse_hilbert=inverse_hilbert,
-        forward_boundary=bool(np.any(forward_values == epsilon)),
-        inverse_boundary=bool(np.any(inverse_values == epsilon)),
-    )
+    return [
+        EquivalenceResult(
+            forward_banach=_evaluate(forward_banach, epsilon),
+            forward_hilbert=_evaluate(forward_hilbert, epsilon),
+            inverse_banach=_evaluate(inverse_banach, epsilon),
+            inverse_hilbert=_evaluate(inverse_hilbert, epsilon),
+            forward_boundary=bool(np.any(forward_hilbert.values == epsilon)),
+            inverse_boundary=bool(np.any(inverse_hilbert.values == epsilon)),
+        )
+        for epsilon in epsilons
+    ]

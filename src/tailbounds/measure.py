@@ -293,17 +293,22 @@ def quantize_points(points, resolution: float) -> np.ndarray:
 def quantize(
     sampler: Sampler, n_samples: int, resolution: float, merge: bool = True
 ) -> DiscreteMeasure:
-    """Empirical measure of n quantized draws.
+    """Empirical measure of the first n draws, quantized (see quantize_draws)."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be positive, got {n_samples}")
+    return quantize_draws(sampler.space, sampler.draw_block(0, n_samples), resolution, merge)
+
+
+def quantize_draws(space, draws, resolution: float, merge: bool = True) -> DiscreteMeasure:
+    """Empirical measure of the rows of draws, each snapped to the grid.
 
     Coincident grid cells are merged by integer index with integer count
     accounting, so weights sum to exactly one after a single final division.
-    With merge=False atoms stay aligned one-to-one with draw indices, which
-    is what the coupled two-resolution comparisons need.
+    With merge=False atoms stay aligned one-to-one with the rows, which is
+    what the coupled two-resolution comparisons need.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
-    samples = sampler.draw_block(0, n_samples)
-    indices = grid_indices(samples, resolution)
+    n_samples = draws.shape[0]
+    indices = grid_indices(draws, resolution)
     if merge:
         unique, counts = np.unique(indices, axis=0, return_counts=True)
         atoms = unique * resolution
@@ -311,4 +316,4 @@ def quantize(
     else:
         atoms = indices * resolution
         weights = np.full(n_samples, 1.0 / n_samples)
-    return DiscreteMeasure(sampler.space, atoms, weights, ROLE_PRIMAL)
+    return DiscreteMeasure(space, atoms, weights, ROLE_PRIMAL)
