@@ -19,7 +19,13 @@ from functools import cached_property
 import numpy as np
 
 from .covop import CovarianceOperator, InverseOperator, build, invert, mahalanobis
-from .errors import ApplicabilityError, CenteringError, RoleError, ShapeError
+from .errors import (
+    ApplicabilityError,
+    CenteringError,
+    NotPositiveDefiniteError,
+    RoleError,
+    ShapeError,
+)
 from .measure import DiscreteMeasure, Sampler, mean, second_moment
 from .space import ROLE_DUAL, p_norm_rows
 
@@ -166,8 +172,8 @@ def _require_hilbert(measure: DiscreteMeasure, inequality: str) -> None:
         )
 
 
-def _require_centered(measure: DiscreteMeasure, inequality: str) -> None:
-    worst = float(np.abs(mean(measure)).max())
+def _require_centered(state: _MeasureState, inequality: str) -> None:
+    worst = float(np.abs(state.mean).max())
     if worst > CENTERING_TOL:
         raise CenteringError(
             f"{inequality} needs a centered measure; mean deviates by {worst!r}"
@@ -179,10 +185,11 @@ def _quadratic_values(atoms: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 
 class _MeasureState:
-    """A measure with its operator, inverse and per-atom Mahalanobis statistic.
+    """A measure with its mean, operator, inverse and per-atom Mahalanobis statistic.
 
-    Each is computed on first use and shared by every inequality and epsilon
-    evaluated on it.  A caller that already holds the operator passes it in.
+    Each is computed on first use (a failed inversion too, whose error is
+    raised again) and shared by every inequality and epsilon evaluated on it.
+    A caller that already holds the operator passes it in.
     """
 
     def __init__(self, measure: DiscreteMeasure, operator: CovarianceOperator | None = None):
@@ -191,12 +198,25 @@ class _MeasureState:
             self.operator = operator  # takes the place of the cached build
 
     @cached_property
+    def mean(self) -> np.ndarray:
+        return mean(self.measure)
+
+    @cached_property
     def operator(self) -> CovarianceOperator:
         return build(self.measure)
 
     @cached_property
+    def _inversion(self) -> InverseOperator | NotPositiveDefiniteError:
+        try:
+            return invert(self.operator)
+        except NotPositiveDefiniteError as exc:
+            return exc
+
+    @property
     def inverse(self) -> InverseOperator:
-        return invert(self.operator)
+        if isinstance(self._inversion, NotPositiveDefiniteError):
+            raise self._inversion
+        return self._inversion
 
     @cached_property
     def mahalanobis(self) -> np.ndarray:
@@ -216,16 +236,14 @@ def _prepare_scalar(state: _MeasureState) -> _Prepared:
     measure = state.measure
     if measure.space.dim != 1:
         raise ShapeError(f"scalar bound needs dim = 1, got {measure.space.dim}")
-    center = mean(measure)[0]
-    deviations = np.abs(measure.atoms[:, 0] - center)
+    deviations = np.abs(measure.atoms[:, 0] - state.mean[0])
     variance = float(np.dot(measure.weights, deviations**2))
     return _Prepared(SCALAR, deviations, measure.weights, False, variance, 2, {})
 
 
 def _prepare_euclidean(state: _MeasureState) -> _Prepared:
     measure = state.measure
-    centered = measure.atoms - mean(measure)
-    deviations = p_norm_rows(centered, 2.0)
+    deviations = p_norm_rows(measure.atoms - state.mean, 2.0)
     variance = float(np.dot(measure.weights, deviations**2))
     return _Prepared(EUCLIDEAN, deviations, measure.weights, False, variance, 2, {})
 
@@ -335,7 +353,7 @@ def _prepare(inequality: str, state: _MeasureState, pstar=None) -> _Prepared:
     if inequality in HILBERT_ONLY:
         _require_hilbert(state.measure, inequality)
     if inequality in CENTERED_ONLY:
-        _require_centered(state.measure, inequality)
+        _require_centered(state, inequality)
     if inequality == BANACH_DUAL:
         if pstar is None:
             raise ValueError("banach_dual needs a dual measure (pstar)")

@@ -62,9 +62,7 @@ def pairwise_sum(terms: np.ndarray) -> np.ndarray:
 
 
 def accumulate_outer(left: np.ndarray, right: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_i w_i left_i right_i^T in canonical order with pairwise summation."""
-    order = canonical_order(left, weights)
-    left, right, weights = left[order], right[order], weights[order]
+    """sum_i w_i left_i right_i^T, summed pairwise over rows already in canonical order."""
     terms = weights[:, None, None] * left[:, :, None] * right[:, None, :]
     return pairwise_sum(terms)
 

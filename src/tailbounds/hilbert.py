@@ -26,13 +26,7 @@ from .bounds import (
     _require_centered,
     _require_hilbert,
 )
-from .covop import (
-    CovarianceOperator,
-    InverseOperator,
-    accumulate_outer,
-    build,
-    invert,
-)
+from .covop import CovarianceOperator, accumulate_outer, build, canonical_order, invert
 from .errors import ApplicabilityError, RoleError, ShapeError
 from .measure import DiscreteMeasure, pushforward, second_moment
 from .space import PNormSpace, ROLE_DUAL, ROLE_PRIMAL
@@ -120,7 +114,8 @@ def hilbert_covariance(measure: DiscreteMeasure, transport: RieszMap) -> np.ndar
     if measure.role != ROLE_PRIMAL:
         raise RoleError("the quadratic-form operator is built from a primal measure")
     images = measure.atoms @ transport.gram
-    return accumulate_outer(measure.atoms, images, measure.weights)
+    order = canonical_order(measure.atoms, measure.weights)
+    return accumulate_outer(measure.atoms[order], images[order], measure.weights[order])
 
 
 def verify_ST_equals_SH(
@@ -186,21 +181,18 @@ def isometry_pushforward_moment(
     return lhs, rhs, equal
 
 
-def inverse_norm_pair(
-    measure: DiscreteMeasure, transport: RieszMap, inverse: InverseOperator | None = None
-) -> tuple[float, float]:
+def inverse_norm_pair(measure: DiscreteMeasure, transport: RieszMap) -> tuple[float, float]:
     """2->2 norm of the inverse computed through both construction routes.
 
-    The first number inverts the dual-space operator (or takes its inverse
-    as passed in), the second inverts the quadratic-form matrix; with the
-    identity gram the inputs are bitwise equal, so the outputs must be equal.
+    The first number inverts the dual-space operator, the second inverts the
+    quadratic-form matrix; with the identity gram the inputs are bitwise
+    equal, so the outputs must be equal.
     """
     _require_hilbert(measure, "the inverse-norm identity")
     _require_matching(measure, transport)
     if not transport.is_identity:
         raise ValueError("the inverse-norm identity is checked with the identity gram")
-    if inverse is None:
-        inverse = invert(build(measure))
+    inverse = invert(build(measure))
     matrix = hilbert_covariance(measure, transport)
     alternate = CovarianceOperator(matrix, measure.space, second_moment(measure))
     return inverse.norm_interval.upper, invert(alternate).norm_interval.upper
@@ -259,7 +251,7 @@ def bound_equivalence(measure: DiscreteMeasure, epsilon: float) -> EquivalenceRe
 def _equivalence_grid(state: _MeasureState, epsilons) -> list[EquivalenceResult]:
     """bound_equivalence at every epsilon of an ascending grid, on one shared state."""
     _require_hilbert(state.measure, "the bound equivalence")
-    _require_centered(state.measure, "the bound equivalence")
+    _require_centered(state, "the bound equivalence")
     image = pushforward(state.measure, riesz(state.measure.space).gram, role=ROLE_DUAL)
     forward_banach = _prepare(BANACH_DUAL, state, image)
     forward_hilbert = _prepare(RAO_FORWARD, state)

@@ -115,20 +115,26 @@ def test_verify_uncentered_chen_skips(tmp_path, capsys):
     )
     path = tmp_path / "shifted.json"
     save_measure(shifted, path)
-    code, out, _ = run(
-        capsys,
-        "verify",
-        "--input",
-        str(path),
-        "--inequality",
-        "chen",
-        "--epsilon",
-        "1.0",
-        "--format",
-        "csv",
-    )
-    assert code == 0
-    assert rows_from_csv(out)[0]["method"] == "skipped: not centered"
+    # banach_mahalanobis needs only an invertible S, so it is evaluated here
+    for inequality, method in (
+        ("chen", "skipped: not centered"),
+        ("banach_mahalanobis", "exact-enumeration"),
+    ):
+        code, out, _ = run(
+            capsys,
+            "verify",
+            "--input",
+            str(path),
+            "--inequality",
+            inequality,
+            "--epsilon",
+            "1.0",
+            "--format",
+            "csv",
+        )
+        assert code == 0
+        row = rows_from_csv(out)[0]
+        assert (row["method"], row["holds"]) == (method, True)
 
 
 def test_verify_bad_weights_exit_1(tmp_path, capsys):

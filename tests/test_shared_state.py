@@ -26,8 +26,10 @@ from tailbounds import (
     bound_equivalence,
     build,
     cauchy_estimate,
+    hilbert_covariance,
     invert,
     inverse_norm_pair,
+    isometry_pushforward_moment,
     load_operator,
     mc_tail,
     quantize,
@@ -102,12 +104,14 @@ def test_verify_all_matches_per_epsilon_sweeps(p, names, tmp_path, capsys, monke
     save_measure(measure, path)
     builds = count_calls(monkeypatch, "build")
     inverts = count_calls(monkeypatch, "invert")
+    sorts = count_calls(monkeypatch, "canonical_order")
+    accumulations = count_calls(monkeypatch, "accumulate_outer")
     code, out, err = run(
         capsys, "verify", "--input", path, "--inequality", "all", "--grid", GRID,
         "--format", "csv",
     )
     assert (code, err) == (0, "")
-    assert (len(builds), len(inverts)) == (1, 1)
+    assert (len(builds), len(inverts), len(sorts), len(accumulations)) == (1, 1, 1, 1)
 
     monkeypatch.undo()
     pstar = replace(measure, role=ROLE_DUAL)
@@ -117,6 +121,26 @@ def test_verify_all_matches_per_epsilon_sweeps(p, names, tmp_path, capsys, monke
         for eps in parse_grid(GRID)
     ]
     assert out == rows_to_csv(sort_rows(rows))
+
+
+def test_verify_all_singular_inverts_once(tmp_path, capsys, monkeypatch):
+    # rank 2 in 3-d: centered, but every inverse-based bound is skipped
+    atoms = np.vstack([np.eye(3)[:2], -np.eye(3)[:2]])
+    path = tmp_path / "singular.json"
+    save_measure(DiscreteMeasure(PNormSpace(3, 2.0), atoms, np.full(4, 0.25)), path)
+    inverts = count_calls(monkeypatch, "invert")
+    code, out, err = run(
+        capsys, "verify", "--input", path, "--inequality", "all", "--grid", GRID,
+    )
+    assert (code, err) == (0, "")
+    assert len(inverts) == 1
+    methods = {}
+    for row in json.loads(out):
+        methods.setdefault(row["inequality"], set()).add(row["method"])
+    for name in ("chen", "rao_inverse", "banach_mahalanobis"):
+        assert methods[name] == {"skipped: not positive definite"}
+    for name in ("banach_dual", "euclidean", "grenander", "rao_forward"):
+        assert methods[name] == {"exact-enumeration"}
 
 
 def _entry(result) -> dict:
@@ -142,14 +166,20 @@ def test_reduce_matches_per_epsilon_calls(tmp_path, capsys, monkeypatch):
     save_measure(measure, path)
     builds = count_calls(monkeypatch, "build")
     inverts = count_calls(monkeypatch, "invert")
+    sorts = count_calls(monkeypatch, "canonical_order")
+    accumulations = count_calls(monkeypatch, "accumulate_outer")
     code, out, err = run(capsys, "reduce", "--input", path, "--grid", GRID, "--seed", 9)
     assert (code, err) == (0, "")
-    # the alternate route inverts its own quadratic-form matrix
-    assert (len(builds), len(inverts)) == (1, 2)
+    assert (len(builds), len(inverts), len(sorts), len(accumulations)) == (1, 1, 1, 1)
 
     monkeypatch.undo()
     document = json.loads(out)
     transport = riesz(measure.space)
+    # the printed fields against the second-route computations they stand for
+    gap = np.abs(build(measure).matrix - hilbert_covariance(measure, transport)).max()
+    assert document["matrix_max_abs_gap"] == gap
+    lhs, rhs, equal = isometry_pushforward_moment(measure, transport)
+    assert document["moment_transport"] == {"lhs": lhs, "rhs": rhs, "equal": equal}
     assert document["operator_identity_max_relative_gap"] == verify_ST_equals_SH(
         measure, transport, seed=9
     )
@@ -230,12 +260,14 @@ def test_quantize_matches_separately_drawn_outputs(tmp_path, capsys, monkeypatch
     sampler_path.write_text(json.dumps(sampler.to_dict()))
     out_path = tmp_path / "q.json"
     blocks = count_draws(monkeypatch)
+    sorts = count_calls(monkeypatch, "canonical_order")
     code, out, err = run(
         capsys, "quantize", "--input", sampler_path, "--samples", 400,
         "--resolution", 0.05, "--seed", 8, "--out", out_path,
     )
     assert (code, out, err) == (0, "", "")
     assert blocks == [(0, 400)]
+    assert len(sorts) == 2  # one per coupled measure behind the Cauchy check
 
     monkeypatch.undo()
     # the seed-commit report: every measure and every error check draws anew
