@@ -26,7 +26,7 @@ from .errors import (
     RoleError,
     ShapeError,
 )
-from .measure import DiscreteMeasure, Sampler, mean, second_moment
+from .measure import DiscreteMeasure, Sampler, _exact_sum, _sorted_tails, mean, second_moment
 from .space import ROLE_DUAL, p_norm_rows
 
 SCALAR = "scalar"
@@ -141,11 +141,12 @@ def _report(
 
 @dataclass(frozen=True, eq=False)
 class _Prepared:
-    """Per-atom statistic plus the c/eps^power form of the bound."""
+    """Per-atom statistic in ascending order, the exact tail sums of its
+    weights (see _sorted_tails) and the c/eps^power form of the bound."""
 
     inequality: str
     values: np.ndarray
-    weights: np.ndarray
+    tails: np.ndarray
     strict: bool
     scale: float
     power: int
@@ -154,11 +155,10 @@ class _Prepared:
 
 def _evaluate(prepared: _Prepared, epsilon: float) -> BoundReport:
     epsilon = _check_epsilon(epsilon)
-    if prepared.strict:
-        mask = prepared.values > epsilon
-    else:
-        mask = prepared.values >= epsilon
-    lhs = float(prepared.weights[mask].sum())
+    # the tail starts at the first value > eps (strict) or >= eps
+    side = "right" if prepared.strict else "left"
+    start = np.searchsorted(prepared.values, epsilon, side=side)
+    lhs = math.fsum(prepared.tails[:, start])
     rhs = prepared.scale / epsilon**prepared.power
     return _report(
         prepared.inequality, epsilon, lhs, rhs, EXACT_ENUMERATION, detail=prepared.detail
@@ -219,9 +219,9 @@ class _MeasureState:
         return self._inversion
 
     @cached_property
-    def mahalanobis(self) -> np.ndarray:
-        """(S^{-1} x, x) for every atom x."""
-        return mahalanobis(self.inverse, self.measure.atoms)
+    def mahalanobis(self) -> tuple[np.ndarray, np.ndarray]:
+        """(S^{-1} x, x) for every atom x, sorted, with the tail sums of the weights."""
+        return _sorted_tails(mahalanobis(self.inverse, self.measure.atoms), self.measure.weights)
 
 
 def _norm_detail(interval) -> dict:
@@ -233,36 +233,36 @@ def _norm_detail(interval) -> dict:
 
 
 def _prepare_scalar(state: _MeasureState) -> _Prepared:
-    measure = state.measure
-    if measure.space.dim != 1:
-        raise ShapeError(f"scalar bound needs dim = 1, got {measure.space.dim}")
-    deviations = np.abs(measure.atoms[:, 0] - state.mean[0])
-    variance = float(np.dot(measure.weights, deviations**2))
-    return _Prepared(SCALAR, deviations, measure.weights, False, variance, 2, {})
+    if state.measure.space.dim != 1:
+        raise ShapeError(f"scalar bound needs dim = 1, got {state.measure.space.dim}")
+    # at dim 1 the 2-norm of x - m is |x - m| bit for bit
+    return replace(_prepare_euclidean(state), inequality=SCALAR)
 
 
 def _prepare_euclidean(state: _MeasureState) -> _Prepared:
     measure = state.measure
     deviations = p_norm_rows(measure.atoms - state.mean, 2.0)
-    variance = float(np.dot(measure.weights, deviations**2))
-    return _Prepared(EUCLIDEAN, deviations, measure.weights, False, variance, 2, {})
+    variance = _exact_sum(measure.weights * deviations**2)
+    sorted_tails = _sorted_tails(deviations, measure.weights)
+    return _Prepared(EUCLIDEAN, *sorted_tails, False, variance, 2, {})
 
 
 def _prepare_grenander(state: _MeasureState) -> _Prepared:
     measure = state.measure
-    norms = p_norm_rows(measure.atoms, 2.0)
-    return _Prepared(GRENANDER, norms, measure.weights, False, second_moment(measure), 2, {})
+    sorted_tails = _sorted_tails(p_norm_rows(measure.atoms, 2.0), measure.weights)
+    return _Prepared(GRENANDER, *sorted_tails, False, second_moment(measure), 2, {})
 
 
 def _prepare_chen(state: _MeasureState) -> _Prepared:
     dim = float(state.measure.space.dim)
-    return _Prepared(CHEN, state.mahalanobis, state.measure.weights, False, dim, 1, {})
+    return _Prepared(CHEN, *state.mahalanobis, False, dim, 1, {})
 
 
 def _prepare_rao_forward(state: _MeasureState) -> _Prepared:
     values = _quadratic_values(state.measure.atoms, state.operator.matrix)
     scale = state.operator.second_moment**2
-    return _Prepared(RAO_FORWARD, values, state.measure.weights, True, scale, 1, {})
+    sorted_tails = _sorted_tails(values, state.measure.weights)
+    return _Prepared(RAO_FORWARD, *sorted_tails, True, scale, 1, {})
 
 
 def _prepare_rao_inverse(state: _MeasureState) -> _Prepared:
@@ -270,7 +270,7 @@ def _prepare_rao_inverse(state: _MeasureState) -> _Prepared:
     # the 2->2 norm is exact, so upper == lower here
     scale = (interval.upper * state.operator.second_moment) ** 2
     return _Prepared(
-        RAO_INVERSE, state.mahalanobis, state.measure.weights, True, scale, 1,
+        RAO_INVERSE, *state.mahalanobis, True, scale, 1,
         _norm_detail(interval),
     )
 
@@ -285,7 +285,8 @@ def _prepare_banach_dual(operator: CovarianceOperator, pstar: DiscreteMeasure) -
     values = _quadratic_values(pstar.atoms, operator.matrix)
     dual_moment = second_moment(pstar)
     scale = dual_moment * operator.second_moment
-    return _Prepared(BANACH_DUAL, values, pstar.weights, False, scale, 1, {})
+    sorted_tails = _sorted_tails(values, pstar.weights)
+    return _Prepared(BANACH_DUAL, *sorted_tails, False, scale, 1, {})
 
 
 def _prepare_banach_mahalanobis(state: _MeasureState) -> _Prepared:
@@ -293,7 +294,7 @@ def _prepare_banach_mahalanobis(state: _MeasureState) -> _Prepared:
     # an inexact norm bracket is consumed through its certified upper endpoint
     scale = interval.upper**2 * state.operator.second_moment**2
     return _Prepared(
-        BANACH_MAHALANOBIS, state.mahalanobis, state.measure.weights, False, scale, 1,
+        BANACH_MAHALANOBIS, *state.mahalanobis, False, scale, 1,
         _norm_detail(interval),
     )
 

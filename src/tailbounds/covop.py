@@ -2,10 +2,9 @@
 
 For a primal measure mu = sum_i w_i delta_{x_i} the operator maps a
 functional f to S f = sum_i w_i <f, x_i> x_i, i.e. the matrix
-M = sum_i w_i x_i x_i^T acting on coordinates.  Construction is made
-order-independent by sorting atoms into a canonical order and summing the
-outer products with a fixed pairwise tree, so equal measures presented in
-any atom order produce bitwise-identical operators.
+M = sum_i w_i x_i x_i^T acting on coordinates.  Every entry is the
+correctly rounded sum of its terms, so equal measures presented in any atom
+order produce bitwise-identical operators.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from .errors import (
     RoleError,
     ShapeError,
 )
-from .measure import DiscreteMeasure
+from .measure import DiscreteMeasure, _exact_sum, second_moment
 from .space import (
     NormInterval,
     PNormSpace,
@@ -41,30 +40,26 @@ MAHALANOBIS_CLAMP = 1e-10
 CHECK_SLACK = 1e-10
 
 
-def canonical_order(atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Permutation sorting atoms lexicographically by coordinates, then weight."""
-    keys = (weights,) + tuple(atoms[:, j] for j in range(atoms.shape[1] - 1, -1, -1))
-    return np.lexsort(keys)
-
-
-def pairwise_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum along axis 0 with a fixed pairwise (tree) reduction order."""
-    acc = np.asarray(terms, dtype=float)
-    if acc.shape[0] == 0:
-        return np.zeros(acc.shape[1:])
-    while acc.shape[0] > 1:
-        n = acc.shape[0]
-        folded = acc[0 : n - 1 : 2] + acc[1:n:2]
-        if n % 2:
-            folded = np.concatenate([folded, acc[n - 1 : n]])
-        acc = folded
-    return acc[0]
-
-
 def accumulate_outer(left: np.ndarray, right: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_i w_i left_i right_i^T, summed pairwise over rows already in canonical order."""
-    terms = weights[:, None, None] * left[:, :, None] * right[:, None, :]
-    return pairwise_sum(terms)
+    """sum_i w_i left_i right_i^T, each entry the correctly rounded sum of w_i (l_ia r_ib).
+
+    The terms are made one block of atoms at a time, so the n x d x d array
+    of all of them never exists.  When left is right the matrix is
+    symmetric, so only its upper triangle is summed.
+    """
+    d = left.shape[1]
+    symmetric = left is right
+    rows, cols = np.triu_indices(d) if symmetric else np.indices((d, d)).reshape(2, -1)
+    step = max(256, 2**14 // len(rows))  # atoms per block: cache-sized, few numpy calls
+    sums = _exact_sum(
+        weights[i : i + step] * (left.T[rows, i : i + step] * right.T[cols, i : i + step])
+        for i in range(0, len(weights), step)
+    )
+    matrix = np.empty((d, d))
+    matrix[rows, cols] = sums
+    if symmetric:
+        matrix[cols, rows] = sums
+    return matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,13 +127,8 @@ def build(measure: DiscreteMeasure) -> CovarianceOperator:
     """Second-moment operator M = sum_i w_i x_i x_i^T of a primal measure."""
     if measure.role != ROLE_PRIMAL:
         raise RoleError("the second-moment operator is built from a primal measure")
-    order = canonical_order(measure.atoms, measure.weights)
-    atoms = measure.atoms[order]
-    weights = measure.weights[order]
-    matrix = accumulate_outer(atoms, atoms, weights)
-    norms = p_norm_rows(atoms, measure.space.p)
-    moment = float(np.dot(weights, norms**2))
-    return CovarianceOperator(matrix, measure.space, moment)
+    matrix = accumulate_outer(measure.atoms, measure.atoms, measure.weights)
+    return CovarianceOperator(matrix, measure.space, second_moment(measure))
 
 
 def apply(operator: CovarianceOperator, f) -> np.ndarray:
@@ -191,7 +181,7 @@ def cauchy_estimate(
     lhs = p_norm(apply(build(coarse), f) - apply(build(fine), f), p)
     gaps = p_norm_rows(coarse.atoms - fine.atoms, p)
     sizes = p_norm_rows(coarse.atoms, p) + p_norm_rows(fine.atoms, p)
-    rhs = dual_norm(f, p) * float(np.dot(coarse.weights, sizes * gaps))
+    rhs = dual_norm(f, p) * _exact_sum(coarse.weights * (sizes * gaps))
     return lhs, rhs, lhs <= rhs * (1.0 + CHECK_SLACK)
 
 

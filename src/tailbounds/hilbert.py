@@ -26,9 +26,9 @@ from .bounds import (
     _require_centered,
     _require_hilbert,
 )
-from .covop import CovarianceOperator, accumulate_outer, build, canonical_order, invert
+from .covop import CovarianceOperator, accumulate_outer, build, invert
 from .errors import ApplicabilityError, RoleError, ShapeError
-from .measure import DiscreteMeasure, pushforward, second_moment
+from .measure import DiscreteMeasure, _exact_sum, pushforward, second_moment
 from .space import PNormSpace, ROLE_DUAL, ROLE_PRIMAL
 
 GRAM_EIGENVALUE_FLOOR = 1e-12  # relative to the trace
@@ -105,17 +105,16 @@ def _require_matching(measure: DiscreteMeasure, transport: RieszMap) -> None:
 def hilbert_covariance(measure: DiscreteMeasure, transport: RieszMap) -> np.ndarray:
     """Matrix of the quadratic-form operator: sum_i w_i x_i (G x_i)^T.
 
-    Built through the same canonical-order pairwise accumulation as the
-    dual-space operator, so with the identity gram the two matrices are
-    bitwise equal, which is the matrix-level form of the reduction identity.
+    Built by the same exact accumulation as the dual-space operator, so with
+    the identity gram the two matrices are bitwise equal, which is the
+    matrix-level form of the reduction identity.
     """
     _require_hilbert(measure, "the quadratic-form operator")
     _require_matching(measure, transport)
     if measure.role != ROLE_PRIMAL:
         raise RoleError("the quadratic-form operator is built from a primal measure")
     images = measure.atoms @ transport.gram
-    order = canonical_order(measure.atoms, measure.weights)
-    return accumulate_outer(measure.atoms[order], images[order], measure.weights[order])
+    return accumulate_outer(measure.atoms, images, measure.weights)
 
 
 def verify_ST_equals_SH(
@@ -162,18 +161,14 @@ def isometry_pushforward_moment(
     _require_matching(measure, transport)
     if transport.is_identity:
         # the pushforward through the identity IS the measure; re-summing it
-        # after the merge reorder would only inject rounding noise
+        # after merging equal atoms would only inject rounding noise
         value = second_moment(measure)
         return value, value, True
     image = pushforward(measure, transport.gram, role=ROLE_DUAL)
-    lhs = float(
-        np.dot(
-            measure.weights,
-            np.einsum("ij,jk,ik->i", measure.atoms, transport.gram, measure.atoms),
-        )
-    )
+    gram_norms = np.einsum("ij,jk,ik->i", measure.atoms, transport.gram, measure.atoms)
+    lhs = _exact_sum(measure.weights * gram_norms)
     solved = np.linalg.solve(transport.gram, image.atoms.T).T
-    rhs = float(np.dot(image.weights, np.einsum("ij,ij->i", image.atoms, solved)))
+    rhs = _exact_sum(image.weights * np.einsum("ij,ij->i", image.atoms, solved))
     gap = abs(lhs - rhs)
     equal = gap <= EQUALITY_TOL * max(abs(lhs), abs(rhs), 1e-300)
     if lhs == rhs:

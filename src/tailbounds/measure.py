@@ -28,6 +28,64 @@ FAMILIES = (GAUSSIAN, UNIFORM_BALL, SYMMETRIC_ATOMS)
 _UINT64_MASK = (1 << 64) - 1
 
 
+def _slices(terms: np.ndarray):
+    """Slices adding up to `terms` exactly, each summing exactly along the last axis.
+
+    q = (t + sigma) - sigma with sigma = 1.5 * 2**k rounds t to the grid
+    ulp(sigma); k is set by the row's largest |t| and its length, so q and
+    t - q are exact and no partial sum of q is rounded (Demmel & Nguyen,
+    "Fast reproducible floating-point summation", ARITH 2013).
+    """
+    headroom = max(1, (terms.shape[-1] - 1).bit_length() - 1)  # 2**(headroom+1) >= length
+    top = np.abs(terms).max(axis=-1, initial=0.0, keepdims=True)
+    if not np.all(top < 2.0 ** (1022 - headroom)):  # t + sigma must not overflow
+        raise ValueError(f"terms must be finite and below 2**{1022 - headroom} to sum exactly")
+    rest = terms.copy()
+    while True:
+        sigma = np.ldexp(1.5, np.frexp(top)[1] + headroom)
+        q = rest + sigma
+        q -= sigma
+        yield q
+        rest -= q
+        top = np.maximum(rest.max(axis=-1, keepdims=True), -rest.min(axis=-1, keepdims=True))
+        if not top.any():
+            return
+
+
+def _rounded(table: np.ndarray) -> np.ndarray:
+    """Correctly rounded sum of each column of a table of exact values."""
+    if len(table) <= 2:
+        return table.sum(axis=0)  # one rounding of at most two values
+    return np.array([math.fsum(column) for column in table.T.tolist()])
+
+
+def _exact_sum(terms):
+    """Correctly rounded sum along the last axis: math.fsum of each row's terms.
+
+    `terms` is an array, or an iterable of its blocks along the last axis.
+    Every slice sum is exact and all are rounded once, so the order of the
+    terms does not matter.
+    """
+    blocks = [terms] if isinstance(terms, np.ndarray) else terms
+    partials = [q.sum(axis=-1) for block in blocks for q in _slices(np.ascontiguousarray(block))]
+    sums = _rounded(np.reshape(partials, (len(partials), -1))).reshape(partials[0].shape)
+    return float(sums) if sums.ndim == 0 else sums
+
+
+def _sorted_tails(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The keys in ascending order, with the exact tail sums of their weights.
+
+    Column j of the (K, n + 1) table sums exactly to the weights of keys[j:],
+    so math.fsum of it is their correctly rounded total; column n is zero.
+    """
+    order = np.argsort(keys)
+    slices = list(_slices(weights[order]))  # one grid for all n weights: exact cumsums
+    tails = np.zeros((len(slices), len(keys) + 1))
+    for row, q in zip(tails, slices):
+        row[:-1] = np.cumsum(q[::-1])[::-1]
+    return keys[order], tails
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """Finitely supported probability measure on a p-norm space.
@@ -60,7 +118,7 @@ class DiscreteMeasure:
             )
         if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite and nonnegative")
-        total = float(weights.sum())
+        total = _exact_sum(weights)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(
                 f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}"
@@ -112,11 +170,11 @@ def load_measure(path) -> DiscreteMeasure:
 
 def second_moment(measure: DiscreteMeasure) -> float:
     """Weighted mean of the squared atom norms (role-appropriate exponent)."""
-    return float(np.dot(measure.weights, measure.atom_norms() ** 2))
+    return _exact_sum(measure.weights * measure.atom_norms() ** 2)
 
 
 def mean(measure: DiscreteMeasure) -> np.ndarray:
-    return measure.weights @ measure.atoms
+    return _exact_sum(measure.weights * measure.atoms.T)
 
 
 def center(measure: DiscreteMeasure) -> DiscreteMeasure:
@@ -144,9 +202,13 @@ def pushforward(measure: DiscreteMeasure, matrix, role: str | None = None) -> Di
     if a.shape != (d, d):
         raise ShapeError(f"transport matrix must be ({d}, {d}), got {a.shape}")
     images = measure.atoms @ a.T
-    unique, inverse = np.unique(images, axis=0, return_inverse=True)
-    weights = np.zeros(unique.shape[0])
-    np.add.at(weights, inverse, measure.weights)
+    unique, inverse, counts = np.unique(
+        images, axis=0, return_inverse=True, return_counts=True
+    )
+    # each merged weight is a difference of two exact tails of the grouped weights
+    _, tails = _sorted_tails(inverse, measure.weights)
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    weights = _rounded(tails[:, starts[:-1]] - tails[:, starts[1:]])
     return DiscreteMeasure(measure.space, unique, weights, role or measure.role)
 
 
@@ -194,14 +256,27 @@ class Sampler:
                 raise ShapeError(f"atoms must be (k, {d}) with k >= 1, got {a.shape}")
             object.__setattr__(self, "atoms", a)
 
-    def _generator(self, index: int) -> np.random.Generator:
-        key = np.array([self.seed & _UINT64_MASK, index & _UINT64_MASK], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
-
     def draw(self, index: int) -> np.ndarray:
-        if index < 0:
-            raise ValueError(f"draw index must be nonnegative, got {index}")
-        gen = self._generator(index)
+        return self.draw_block(index, 1)[0]
+
+    def draw_block(self, start: int, count: int) -> np.ndarray:
+        if start < 0:
+            raise ValueError(f"draw index must be nonnegative, got {start}")
+        if count < 1:
+            raise ValueError(f"count must be positive, got {count}")
+        # Philox(0) fetches no OS entropy; each draw gets key [seed, index] and
+        # the fresh counter and buffer that Philox(key=...) would start from
+        bits = np.random.Philox(0)
+        gen, state = np.random.Generator(bits), bits.state
+        draws = np.empty((count, self.space.dim))
+        for row, index in enumerate(range(start, start + count)):
+            key = [self.seed & _UINT64_MASK, index & _UINT64_MASK]
+            state["state"]["key"] = np.array(key, dtype=np.uint64)
+            bits.state = state
+            draws[row] = self._draw_with(gen)
+        return draws
+
+    def _draw_with(self, gen: np.random.Generator) -> np.ndarray:
         d = self.space.dim
         if self.family == GAUSSIAN:
             return self.mean + self.cov_factor @ gen.standard_normal(self.cov_factor.shape[1])
@@ -219,11 +294,6 @@ class Sampler:
         pick = int(gen.integers(0, 2 * k))
         sign = 1.0 if pick < k else -1.0
         return sign * self.atoms[pick % k]
-
-    def draw_block(self, start: int, count: int) -> np.ndarray:
-        if count < 1:
-            raise ValueError(f"count must be positive, got {count}")
-        return np.stack([self.draw(i) for i in range(start, start + count)])
 
     def to_dict(self) -> dict:
         out = {

@@ -15,6 +15,7 @@ from tailbounds import (
     euclidean_chebyshev,
     grenander,
     invert,
+    mahalanobis,
     mc_tail,
     rao,
     scalar_chebyshev,
@@ -39,7 +40,8 @@ from tailbounds.errors import (
     RoleError,
     ShapeError,
 )
-from tailbounds.measure import GAUSSIAN, SYMMETRIC_ATOMS
+from tailbounds.measure import GAUSSIAN, SYMMETRIC_ATOMS, mean
+from tailbounds.space import p_norm_rows
 
 from conftest import random_measure
 
@@ -397,3 +399,66 @@ def test_inequality_enum_is_frozen():
         "banach_dual",
         "banach_mahalanobis",
     )
+
+
+def centered_nonuniform(rng, pairs: int, dim: int) -> DiscreteMeasure:
+    """+-x pairs with unequal pair weights: the mean is exactly zero."""
+    half = rng.standard_normal((pairs, dim)) * rng.uniform(0.5, 2.0, dim)
+    weights = rng.uniform(0.1, 1.0, pairs)
+    weights = np.concatenate([weights, weights]) / (2.0 * weights.sum())
+    return DiscreteMeasure(PNormSpace(dim, 2.0), np.concatenate([half, -half]), weights)
+
+
+def permuted(measure: DiscreteMeasure, order) -> DiscreteMeasure:
+    atoms, weights = measure.atoms[order], measure.weights[order]
+    return DiscreteMeasure(measure.space, atoms, weights, measure.role)
+
+
+def test_exact_reports_do_not_depend_on_atom_order():
+    rng = np.random.default_rng(151)
+    measure = centered_nonuniform(rng, 150, 3)
+    line = DiscreteMeasure(
+        PNormSpace(1, 2.0), rng.standard_normal((300, 1)), rng.dirichlet(np.ones(300))
+    )
+    grid = np.geomspace(1e-3, 1e2, 60)
+
+    def outputs(measure, line) -> bytes:
+        pstar = DiscreteMeasure(measure.space, measure.atoms, measure.weights, "dual")
+        reports = [sweep("scalar", line, grid)]
+        reports += [
+            sweep(name, measure, grid, pstar=pstar) for name in INEQUALITIES if name != "scalar"
+        ]
+        numbers = [(r.lhs, r.rhs) for rows in reports for r in rows]
+        return b"".join(
+            np.asarray(part, dtype=float).tobytes()
+            for part in (numbers, mean(measure), second_moment(measure), build(measure).matrix)
+        )
+
+    reference = outputs(measure, line)
+    for _ in range(20):
+        shuffled = permuted(measure, rng.permutation(measure.n_atoms))
+        shuffled_line = permuted(line, rng.permutation(line.n_atoms))
+        assert outputs(shuffled, shuffled_line) == reference
+
+
+def test_exact_lhs_is_fsum_of_the_tail_weights():
+    rng = np.random.default_rng(157)
+    measure = centered_nonuniform(rng, 60, 3)
+    operator = build(measure)
+    distances = mahalanobis(invert(operator), measure.atoms)
+    statistics = {
+        "grenander": (p_norm_rows(measure.atoms, 2.0), False),
+        "chen": (distances, False),
+        "rao_forward": (
+            np.einsum("ij,jk,ik->i", measure.atoms, operator.matrix, measure.atoms), True,
+        ),
+        "rao_inverse": (distances, True),
+    }
+    for name, (values, strict) in statistics.items():
+        on_atoms = np.unique(values)[::5]  # +-x pairs put two atoms on each
+        grid = np.union1d(on_atoms, (on_atoms[:-1] + on_atoms[1:]) / 2.0)
+        for report in sweep(name, measure, grid):
+            tail = values > report.epsilon if strict else values >= report.epsilon
+            assert report.lhs == math.fsum(measure.weights[tail].tolist()), (name, report.epsilon)
+        # an atom sits on each of these epsilons, where > and >= differ
+        assert all(np.any(values == eps) for eps in on_atoms)

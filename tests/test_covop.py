@@ -20,13 +20,7 @@ from tailbounds import (
     quad_form,
     quantize,
 )
-from tailbounds.covop import (
-    accumulate_outer,
-    canonical_order,
-    load_operator,
-    pairwise_sum,
-    save_operator,
-)
+from tailbounds.covop import accumulate_outer, load_operator, save_operator
 from tailbounds.errors import (
     CouplingError,
     NotPositiveDefiniteError,
@@ -120,23 +114,16 @@ def test_build_is_order_independent():
         assert np.max(np.abs(a - b)) <= 1e-14 * scale
 
 
-def test_canonical_order_is_stable():
-    atoms = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
-    weights = np.array([0.25, 0.5, 0.25])
-    order = canonical_order(atoms, weights)
-    reordered = canonical_order(atoms[order], weights[order])
-    assert np.array_equal(reordered, np.arange(3))
-
-
-def test_pairwise_sum_matches_exact():
-    from fractions import Fraction
-
-    rng = np.random.default_rng(73)
-    values = rng.standard_normal(1000)
-    exact = float(sum(Fraction(v) for v in values))
-    assert pairwise_sum(values) == pytest.approx(exact, rel=1e-15, abs=1e-15)
-    assert pairwise_sum(np.empty(0)) == 0.0
-    assert pairwise_sum(np.array([3.25])) == 3.25
+def test_build_entries_are_fsum_of_their_terms():
+    rng = np.random.default_rng(173)
+    n = 5000  # more atoms than one block of terms holds
+    atoms = rng.standard_normal((n, 3)) * np.exp(rng.uniform(-5.0, 5.0, (n, 3)))
+    weights = rng.dirichlet(np.ones(n))
+    matrix = build(DiscreteMeasure(PNormSpace(3, 2.0), atoms, weights)).matrix
+    for a in range(3):
+        for b in range(3):
+            terms = weights * (atoms[:, a] * atoms[:, b])
+            assert matrix[a, b] == math.fsum(terms.tolist())
 
 
 def test_accumulate_outer_matches_loop():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import tailbounds.measure
 from tailbounds import (
     DiscreteMeasure,
     PNormSpace,
@@ -21,6 +22,8 @@ from tailbounds.measure import (
     GAUSSIAN,
     SYMMETRIC_ATOMS,
     UNIFORM_BALL,
+    _exact_sum,
+    _sorted_tails,
     grid_indices,
     load_sampler,
     mean,
@@ -375,3 +378,81 @@ def test_atom_norms_match_p_norm():
         norms = m.atom_norms()
         for i in range(m.n_atoms):
             assert norms[i] == pytest.approx(p_norm(m.atoms[i], p), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [1e16, 1.0, -1e16],  # cancellation
+        [5e-324, 5e-324, 2.5e-323, -5e-324, 2.0**-1022],  # subnormals
+        [0.0, -0.0, 0.0],
+        [3.25],  # a single row
+    ],
+)
+def test_exact_sum_is_fsum_on_hard_cases(terms):
+    assert _exact_sum(np.array(terms)) == math.fsum(terms)
+    assert _exact_sum(np.array([terms, terms])).tolist() == [math.fsum(terms)] * 2
+
+
+def test_exact_sum_is_fsum_over_rows_and_blocks():
+    rng = np.random.default_rng(163)
+    n = 10_007  # not a multiple of the block length below
+    terms = rng.standard_normal(n) * np.exp(rng.uniform(-40.0, 40.0, n))
+    expected = math.fsum(terms.tolist())
+    assert _exact_sum(terms) == expected
+    assert _exact_sum(terms[rng.permutation(n)]) == expected
+    assert _exact_sum(terms[i : i + 1000] for i in range(0, n, 1000)) == expected
+    rows = rng.standard_normal((7, 3001)) * np.exp(rng.uniform(-40.0, 40.0, (7, 3001)))
+    expected_rows = [math.fsum(row) for row in rows.tolist()]
+    assert _exact_sum(rows).tolist() == expected_rows
+    assert _exact_sum(np.asfortranarray(rows)).tolist() == expected_rows
+    assert np.array_equal(_exact_sum(np.zeros((2, 5))), [0.0, 0.0])
+
+
+def test_sorted_tails_give_every_tail_as_fsum():
+    rng = np.random.default_rng(167)
+    keys = rng.standard_normal(300)
+    weights = rng.dirichlet(np.ones(300)) * np.exp(rng.uniform(-60.0, 0.0, 300))
+    ordered, tails = _sorted_tails(keys, weights)
+    assert np.array_equal(ordered, np.sort(keys)) and tails.shape[1] == 301
+    by_key = weights[np.argsort(keys)]
+    expected = [math.fsum(by_key[j:].tolist()) for j in range(301)]
+    assert [math.fsum(tails[:, j]) for j in range(301)] == expected
+
+
+def test_exact_sum_rejects_terms_it_cannot_hold():
+    for terms in ([1.0, math.inf], [math.nan], [1e308, 1e308]):
+        with pytest.raises(ValueError, match="to sum exactly"):
+            _exact_sum(np.array(terms))
+
+
+def _old_draw(sampler: Sampler, index: int) -> np.ndarray:
+    """A draw from its own Philox(key=[seed, index]), as each draw was once made."""
+    key = np.array([sampler.seed, index], dtype=np.uint64)
+    return sampler._draw_with(np.random.Generator(np.random.Philox(key=key)))
+
+
+@pytest.mark.parametrize(
+    "sampler",
+    [
+        Sampler(PNormSpace(3, 2.0), GAUSSIAN, seed=21, cov_factor=np.arange(9.0).reshape(3, 3)),
+        Sampler(PNormSpace(3, 1.5), UNIFORM_BALL, seed=22),
+        Sampler(PNormSpace(3, 2.0), UNIFORM_BALL, seed=23, radius=2.0),
+        Sampler(PNormSpace(3, math.inf), UNIFORM_BALL, seed=24),
+        Sampler(PNormSpace(2, 2.0), SYMMETRIC_ATOMS, seed=25, atoms=[[1.0, 2.0], [3.0, -4.0]]),
+    ],
+    ids=["gaussian", "ball-1.5", "ball-2", "ball-inf", "symmetric-atoms"],
+)
+def test_draw_block_keeps_the_per_draw_philox_stream(sampler, monkeypatch):
+    expected = np.stack([_old_draw(sampler, i) for i in range(7, 207)])
+    constructed = []
+    original = np.random.Philox
+
+    def counted(*args, **kwargs):
+        constructed.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tailbounds.measure.np.random, "Philox", counted)
+    block = sampler.draw_block(7, 200)
+    assert len(constructed) == 1
+    assert np.array_equal(block, expected)
