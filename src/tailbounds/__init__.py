@@ -85,4 +85,4 @@ from .space import (
     pair,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

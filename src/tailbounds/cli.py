@@ -206,9 +206,9 @@ def cmd_verify(config: RunConfig) -> int:
 def cmd_mc(config: RunConfig) -> int:
     sampler = load_sampler(config.input_path)
     operator = None
-    if config.statistic in ("quad_S", "mahalanobis_S"):
-        if not config.operator_path:
-            raise UsageError(f"statistic {config.statistic!r} needs --operator")
+    if (config.statistic == "norm") == bool(config.operator_path):
+        raise UsageError("quad_S and mahalanobis_S need --operator; norm refuses it")
+    if config.operator_path:
         operator = load_operator(config.operator_path)
     if config.statistic == "mahalanobis_S":
         try:
@@ -344,10 +344,11 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="tailbounds", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sub, grid=True):
+    def add_common(sub, grid=True, rows=True):
         sub.add_argument("--input", required=True, help="input JSON path")
         sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed, default 0")
-        sub.add_argument("--format", choices=FORMATS, default="json", dest="fmt")
+        if rows:  # only report rows have a CSV form
+            sub.add_argument("--format", choices=FORMATS, default="json", dest="fmt")
         sub.add_argument("--out", default=None, help="output path (default stdout)")
         if grid:
             group = sub.add_mutually_exclusive_group()
@@ -370,12 +371,12 @@ def _build_parser() -> _Parser:
     mc.add_argument("--draws", type=int, default=10_000)
 
     quant = commands.add_parser("quantize", help="grid-quantize sampler draws to a measure")
-    add_common(quant, grid=False)
+    add_common(quant, grid=False, rows=False)
     quant.add_argument("--samples", type=int, required=True, dest="n_samples")
     quant.add_argument("--resolution", type=float, required=True)
 
     reduce_cmd = commands.add_parser("reduce", help="check the p = 2 reduction identities")
-    add_common(reduce_cmd)
+    add_common(reduce_cmd, rows=False)
     return parser
 
 
@@ -388,7 +389,7 @@ def config_from_args(args) -> RunConfig:
         input_path=args.input,
         epsilons=epsilons,
         inequality=getattr(args, "inequality", "all"),
-        fmt=args.fmt,
+        fmt=getattr(args, "fmt", "json"),
         out=args.out,
         seed=args.seed,
         dual_input=getattr(args, "dual_input", None),

@@ -434,3 +434,22 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "--input" in err
+
+
+def test_flags_a_command_would_ignore_are_usage_errors(signs_path, sampler_path, tmp_path, capsys):
+    quantize = ("quantize", "--input", sampler_path, "--samples", "10", "--resolution", "0.5")
+    reduce = ("reduce", "--input", signs_path, "--epsilon", "1.0")
+    for command in (quantize, reduce):
+        assert run(capsys, *command)[0] == 0
+        code, out, err = run(capsys, *command, "--format", "csv")
+        assert (code, out) == (1, "")
+        assert "--format" in err
+
+    op_path = tmp_path / "op.json"
+    save_operator(build(signs_measure()), op_path)
+    code, out, err = run(
+        capsys, "mc", "--input", sampler_path, "--statistic", "norm",
+        "--operator", str(op_path), "--epsilon", "1.0", "--draws", "100",
+    )
+    assert (code, out) == (1, "")
+    assert "--operator" in err
