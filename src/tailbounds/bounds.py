@@ -83,8 +83,9 @@ def _check_epsilon(epsilon: float) -> float:
 class BoundReport:
     """One evaluated inequality: tail probability against its bound.
 
-    `holds` folds the Monte Carlo half-width in, so a probabilistic LHS is
-    never flagged as a violation inside its own confidence band:
+    `holds` and `slack` are derived from the other fields.  `holds` folds
+    the Monte Carlo half-width in, so a probabilistic LHS is never flagged
+    as a violation inside its own confidence band:
     holds = (lhs <= rhs + ci_halfwidth + HOLDS_SLACK).
     """
 
@@ -93,8 +94,6 @@ class BoundReport:
     lhs: float
     ci_halfwidth: float
     rhs: float
-    holds: bool
-    slack: float
     method: str
     detail: dict = field(default_factory=dict, repr=False)
 
@@ -112,37 +111,24 @@ class BoundReport:
             raise ValueError("exact enumeration must report ci_halfwidth = 0")
         if self.method not in (EXACT_ENUMERATION, MONTE_CARLO):
             raise ValueError(f"unknown method {self.method!r}")
-        expected = self.lhs <= self.rhs + self.ci_halfwidth + HOLDS_SLACK
-        if self.holds != expected or self.slack != self.rhs - self.lhs:
-            raise ValueError("holds/slack are inconsistent with lhs and rhs")
 
+    @property
+    def holds(self) -> bool:
+        return self.lhs <= self.rhs + self.ci_halfwidth + HOLDS_SLACK
 
-def _report(
-    inequality: str,
-    epsilon: float,
-    lhs: float,
-    rhs: float,
-    method: str,
-    ci_halfwidth: float = 0.0,
-    detail: dict | None = None,
-) -> BoundReport:
-    return BoundReport(
-        inequality=inequality,
-        epsilon=epsilon,
-        lhs=lhs,
-        ci_halfwidth=ci_halfwidth,
-        rhs=rhs,
-        holds=lhs <= rhs + ci_halfwidth + HOLDS_SLACK,
-        slack=rhs - lhs,
-        method=method,
-        detail=detail or {},
-    )
+    @property
+    def slack(self) -> float:
+        return self.rhs - self.lhs
 
 
 @dataclass(frozen=True, eq=False)
 class _Prepared:
     """Per-atom statistic in ascending order, the exact tail sums of its
-    weights (see _sorted_tails) and the c/eps^power form of the bound."""
+    weights (see _sorted_tails) and the c/eps^power form of the bound.
+
+    A Monte Carlo statistic has unit weights and `draws` > 0: its tail sum
+    is the count of draws, and the LHS that count / draws.
+    """
 
     inequality: str
     values: np.ndarray
@@ -151,6 +137,7 @@ class _Prepared:
     scale: float
     power: int
     detail: dict
+    draws: int = 0
 
 
 def _evaluate(prepared: _Prepared, epsilon: float) -> BoundReport:
@@ -160,9 +147,12 @@ def _evaluate(prepared: _Prepared, epsilon: float) -> BoundReport:
     start = np.searchsorted(prepared.values, epsilon, side=side)
     lhs = math.fsum(prepared.tails[:, start])
     rhs = prepared.scale / epsilon**prepared.power
-    return _report(
-        prepared.inequality, epsilon, lhs, rhs, EXACT_ENUMERATION, detail=prepared.detail
-    )
+    method, half_width = EXACT_ENUMERATION, 0.0
+    if prepared.draws:
+        lhs /= prepared.draws
+        half_width = MC_CI_MULTIPLIER * math.sqrt(lhs * (1.0 - lhs) / prepared.draws)
+        method = MONTE_CARLO
+    return BoundReport(prepared.inequality, epsilon, lhs, half_width, rhs, method, prepared.detail)
 
 
 def _require_hilbert(measure: DiscreteMeasure, inequality: str) -> None:
@@ -455,13 +445,10 @@ def _mc_grid(sampler, statistic, operator, epsilons, n_draws, seed=None) -> list
         inequality = BANACH_MAHALANOBIS
         detail = _norm_detail(operator.norm_interval)
 
-    reports = []
-    for epsilon in epsilons:
-        lhs = float(np.count_nonzero(values >= epsilon)) / n_draws
-        half_width = MC_CI_MULTIPLIER * math.sqrt(lhs * (1.0 - lhs) / n_draws)
-        rhs = scale / epsilon**power
-        reports.append(_report(inequality, epsilon, lhs, rhs, MONTE_CARLO, half_width, detail))
-    return reports
+    prepared = _Prepared(
+        inequality, *_sorted_tails(values, np.ones(n_draws)), False, scale, power, detail, n_draws
+    )
+    return [_evaluate(prepared, epsilon) for epsilon in epsilons]
 
 
 def _format_cell(value) -> str:
@@ -506,7 +493,3 @@ def rows_from_csv(text: str) -> list[dict]:
 
 def rows_to_json(rows) -> str:
     return json.dumps(list(rows), indent=2) + "\n"
-
-
-def rows_from_json(text: str) -> list[dict]:
-    return json.loads(text)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .hilbert import _equivalence_grid, riesz, verify_ST_equals_SH
 from .measure import load_measure, load_sampler, quantize_draws, save_measure
 from .space import ROLE_DUAL, ROLE_PRIMAL, conjugate_exponent, p_norm, p_norm_rows
 
-COMMANDS = ("verify", "sweep", "quantize", "mc", "reduce")
 FORMATS = ("json", "csv")
 DEFAULT_SEED = 0
 MAX_GRID_POINTS = 10_000
@@ -59,42 +58,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: one command, one input, one epsilon set."""
-
-    command: str
-    input_path: str
-    epsilons: tuple = ()
-    inequality: str = "all"
-    fmt: str = "json"
-    out: str | None = None
-    seed: int = DEFAULT_SEED
-    dual_input: str | None = None
-    operator_path: str | None = None
-    statistic: str | None = None
-    draws: int = 10_000
-    n_samples: int = 0
-    resolution: float = 0.0
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise UsageError(f"command must be one of {COMMANDS}, got {self.command!r}")
-        if self.fmt not in FORMATS:
-            raise UsageError(f"format must be one of {FORMATS}, got {self.fmt!r}")
-        if self.seed < 0:
-            raise UsageError(f"seed must be a nonnegative integer, got {self.seed}")
-        if len(self.epsilons) > MAX_GRID_POINTS:
-            raise UsageError(f"grid is limited to {MAX_GRID_POINTS} points")
-        for value in self.epsilons:
-            if not (value > 0.0 and np.isfinite(value)):
-                raise UsageError(f"epsilon values must be positive, got {value}")
-        if any(b <= a for a, b in zip(self.epsilons, self.epsilons[1:])):
-            raise UsageError("epsilon grid must be strictly ascending")
+def _check_epsilons(values: tuple) -> tuple:
+    for value in values:
+        if not (value > 0.0 and np.isfinite(value)):
+            raise UsageError(f"epsilon values must be positive, got {value}")
+    return values
 
 
 def parse_grid(text: str) -> tuple:
-    """Parse start:stop:points,log|lin into an ascending tuple of epsilons."""
+    """Parse start:stop:points,log|lin into a strictly ascending tuple of epsilons."""
     head, sep, mode = text.partition(",")
     parts = head.split(":")
     if not sep or mode not in ("log", "lin") or len(parts) != 3:
@@ -108,19 +80,22 @@ def parse_grid(text: str) -> tuple:
     if not (0.0 < start <= stop):
         raise UsageError(f"grid needs 0 < start <= stop, got {start}..{stop}")
     if points == 1:
-        return (start,)
-    if mode == "log":
+        values = (start,)
+    elif mode == "log":
         values = np.geomspace(start, stop, points)
     else:
         values = np.linspace(start, stop, points)
-    return tuple(float(v) for v in values)
+    values = _check_epsilons(tuple(float(v) for v in values))
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise UsageError("epsilon grid must be strictly ascending")
+    return values
 
 
 def _epsilons_from_args(args) -> tuple:
-    if getattr(args, "grid", None):
+    if args.grid:
         return parse_grid(args.grid)
-    if getattr(args, "epsilon", None) is not None:
-        return (float(args.epsilon),)
+    if args.epsilon is not None:
+        return _check_epsilons((args.epsilon,))
     raise UsageError("one of --epsilon or --grid is required")
 
 
@@ -145,7 +120,7 @@ def _static_skip_reason(inequality: str, measure) -> str | None:
     return None
 
 
-def _emit(config: RunConfig, text: str) -> None:
+def _emit(config: argparse.Namespace, text: str) -> None:
     if config.out:
         with open(config.out, "w") as fh:
             fh.write(text)
@@ -153,7 +128,7 @@ def _emit(config: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _finish_rows(config: RunConfig, rows: list) -> int:
+def _finish_rows(config: argparse.Namespace, rows: list) -> int:
     rows = sort_rows(rows)
     text = rows_to_csv(rows) if config.fmt == "csv" else rows_to_json(rows)
     _emit(config, text)
@@ -164,8 +139,8 @@ def _finish_rows(config: RunConfig, rows: list) -> int:
     return 2 if violations else 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    measure = load_measure(config.input_path)
+def cmd_verify(config: argparse.Namespace) -> int:
+    measure = load_measure(config.input)
     if measure.role != ROLE_PRIMAL:
         raise ValueError("verify expects a primal measure as input")
     if config.inequality == "all":
@@ -203,8 +178,8 @@ def cmd_verify(config: RunConfig) -> int:
     return _finish_rows(config, rows)
 
 
-def cmd_mc(config: RunConfig) -> int:
-    sampler = load_sampler(config.input_path)
+def cmd_mc(config: argparse.Namespace) -> int:
+    sampler = load_sampler(config.input)
     operator = None
     if (config.statistic == "norm") == bool(config.operator_path):
         raise UsageError("quad_S and mahalanobis_S need --operator; norm refuses it")
@@ -222,8 +197,8 @@ def cmd_mc(config: RunConfig) -> int:
     return _finish_rows(config, [report_to_row(report) for report in reports])
 
 
-def cmd_quantize(config: RunConfig) -> int:
-    sampler = replace(load_sampler(config.input_path), seed=config.seed)
+def cmd_quantize(config: argparse.Namespace) -> int:
+    sampler = replace(load_sampler(config.input), seed=config.seed)
     delta = config.resolution
     n = config.n_samples
     if n < 1:
@@ -277,8 +252,8 @@ def cmd_quantize(config: RunConfig) -> int:
     return 0 if ok else 2
 
 
-def cmd_reduce(config: RunConfig) -> int:
-    measure = load_measure(config.input_path)
+def cmd_reduce(config: argparse.Namespace) -> int:
+    measure = load_measure(config.input)
     transport = riesz(measure.space)  # raises on p != 2, naming the rule
     operator = build(measure)
     state = _MeasureState(measure, operator)  # shared by every check and every epsilon
@@ -360,59 +335,39 @@ def _build_parser() -> _Parser:
         ("sweep", "same as verify, meant for grids"),
     ):
         sub = commands.add_parser(name, help=summary)
+        sub.set_defaults(run=cmd_verify)
         add_common(sub)
         sub.add_argument("--inequality", default="all", help="name or 'all'")
         sub.add_argument("--dual-input", default=None, help="dual measure JSON for banach_dual")
 
     mc = commands.add_parser("mc", help="Monte Carlo tail frequencies from a sampler")
+    mc.set_defaults(run=cmd_mc)
     add_common(mc)
     mc.add_argument("--statistic", required=True, choices=("norm", "quad_S", "mahalanobis_S"))
     mc.add_argument("--operator", default=None, dest="operator_path", help="operator JSON")
     mc.add_argument("--draws", type=int, default=10_000)
 
     quant = commands.add_parser("quantize", help="grid-quantize sampler draws to a measure")
+    quant.set_defaults(run=cmd_quantize)
     add_common(quant, grid=False, rows=False)
     quant.add_argument("--samples", type=int, required=True, dest="n_samples")
     quant.add_argument("--resolution", type=float, required=True)
 
     reduce_cmd = commands.add_parser("reduce", help="check the p = 2 reduction identities")
+    reduce_cmd.set_defaults(run=cmd_reduce)
     add_common(reduce_cmd, rows=False)
     return parser
-
-
-def config_from_args(args) -> RunConfig:
-    epsilons: tuple = ()
-    if args.command != "quantize":
-        epsilons = _epsilons_from_args(args)
-    return RunConfig(
-        command=args.command,
-        input_path=args.input,
-        epsilons=epsilons,
-        inequality=getattr(args, "inequality", "all"),
-        fmt=getattr(args, "fmt", "json"),
-        out=args.out,
-        seed=args.seed,
-        dual_input=getattr(args, "dual_input", None),
-        operator_path=getattr(args, "operator_path", None),
-        statistic=getattr(args, "statistic", None),
-        draws=getattr(args, "draws", 10_000),
-        n_samples=getattr(args, "n_samples", 0),
-        resolution=getattr(args, "resolution", 0.0),
-    )
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        config = config_from_args(parser.parse_args(argv))
-        handlers = {
-            "verify": cmd_verify,
-            "sweep": cmd_verify,
-            "mc": cmd_mc,
-            "quantize": cmd_quantize,
-            "reduce": cmd_reduce,
-        }
-        return handlers[config.command](config)
+        args = parser.parse_args(argv)
+        if "grid" in args:  # every command but quantize takes epsilons
+            args.epsilons = _epsilons_from_args(args)
+        if args.seed < 0:
+            raise UsageError(f"seed must be a nonnegative integer, got {args.seed}")
+        return args.run(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1

@@ -55,7 +55,7 @@ def exponent_from_json(value) -> float:
 
 @dataclass(frozen=True)
 class PNormSpace:
-    """R^dim with the p-norm; `dual()` is the same coordinates under the q-norm."""
+    """R^dim with the p-norm; its dual is the same coordinates under the q-norm."""
 
     dim: int
     p: float
@@ -68,9 +68,6 @@ class PNormSpace:
     @property
     def q(self) -> float:
         return conjugate_exponent(self.p)
-
-    def dual(self) -> "PNormSpace":
-        return PNormSpace(self.dim, self.q)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -26,9 +27,9 @@ from tailbounds.bounds import (
     EXACT_ENUMERATION,
     INEQUALITIES,
     MONTE_CARLO,
+    _mc_grid,
     report_to_row,
     rows_from_csv,
-    rows_from_json,
     rows_to_csv,
     rows_to_json,
     sort_rows,
@@ -40,7 +41,7 @@ from tailbounds.errors import (
     RoleError,
     ShapeError,
 )
-from tailbounds.measure import GAUSSIAN, SYMMETRIC_ATOMS, mean
+from tailbounds.measure import GAUSSIAN, SYMMETRIC_ATOMS, UNIFORM_BALL, mean
 from tailbounds.space import p_norm_rows
 
 from conftest import random_measure
@@ -340,6 +341,65 @@ def test_mc_tail_validation():
         mc_tail(sampler, "mahalanobis_S", op, 1.0, 500)
 
 
+def _mc_cases(n_draws: int):
+    """(sampler, statistic, operator, values, scale, power, epsilons) per case.
+
+    values, scale and power are the statistic and the bound's c/eps^power
+    recomputed from a fresh draw; some epsilons sit exactly on drawn values.
+    """
+    atoms = Sampler(
+        space=PNormSpace(2, 2.0),
+        family=SYMMETRIC_ATOMS,
+        seed=3,
+        atoms=[[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]],  # norms 1, 2 and 5
+    )
+    values = p_norm_rows(atoms.draw_block(0, n_draws), 2.0)
+    on_the_norms = (0.5, 1.0, 1.5, 2.0, 5.0, 6.0)
+    yield atoms, "norm", None, values, float(np.mean(values**2)), 2, on_the_norms
+
+    rng = np.random.default_rng(12)
+    inverse = invert(build(random_measure(rng, dim=3, p=3.0, definite=True)))
+    gaussian = Sampler(
+        space=PNormSpace(3, 3.0),
+        family=GAUSSIAN,
+        seed=2,
+        mean=np.zeros(3),
+        cov_factor=np.diag([1.0, 0.5, 2.0]),
+    )
+    draws = gaussian.draw_block(0, n_draws)
+    values = mahalanobis(inverse, draws)
+    moment = float(np.mean(p_norm_rows(draws, 3.0) ** 2))
+    scale = inverse.norm_interval.upper**2 * moment**2
+    yield gaussian, "mahalanobis_S", inverse, values, scale, 1, _on_and_off(values)
+
+    ball = Sampler(space=PNormSpace(3, 3.0), family=UNIFORM_BALL, seed=4)
+    values = p_norm_rows(ball.draw_block(0, n_draws), 3.0)
+    yield ball, "norm", None, values, float(np.mean(values**2)), 2, _on_and_off(values)
+
+
+def _on_and_off(values) -> tuple:
+    ranked = np.sort(values)
+    on = ranked[[0, len(ranked) // 4, len(ranked) // 2, len(ranked) - 1]]
+    return tuple(float(v) for v in on) + (0.5 * ranked[0], 0.3, 1.0, 2.0 * ranked[-1])
+
+
+@pytest.mark.parametrize("n_draws", [100, 777, 2000])
+def test_mc_grid_matches_the_per_epsilon_count(n_draws):
+    # the formula each Monte Carlo report was computed with before the
+    # reports came from the sorted statistic's tail sums
+    for sampler, statistic, operator, values, scale, power, epsilons in _mc_cases(n_draws):
+        reports = _mc_grid(sampler, statistic, operator, epsilons, n_draws)
+        for report, epsilon in zip(reports, epsilons, strict=True):
+            lhs = float(np.count_nonzero(values >= epsilon)) / n_draws
+            half_width = 3.0 * math.sqrt(lhs * (1.0 - lhs) / n_draws)
+            rhs = scale / epsilon**power
+            holds = lhs <= rhs + half_width + 1e-12
+            assert report.method == MONTE_CARLO
+            assert (report.lhs, report.ci_halfwidth, report.rhs, report.holds) == (
+                lhs, half_width, rhs, holds
+            ), (statistic, n_draws, epsilon)
+
+
 def test_report_validation():
     good = dict(
         inequality="grenander",
@@ -347,17 +407,17 @@ def test_report_validation():
         lhs=0.5,
         ci_halfwidth=0.0,
         rhs=1.0,
-        holds=True,
-        slack=0.5,
         method=EXACT_ENUMERATION,
     )
-    BoundReport(**good)
+    report = BoundReport(**good)
+    assert (report.holds, report.slack) == (True, 0.5)
+    assert not BoundReport(**{**good, "lhs": 1.0, "rhs": 0.5}).holds
+    # holds and slack are derived, never passed in
+    for derived in ({"holds": False}, {"slack": 0.25}):
+        with pytest.raises(TypeError):
+            BoundReport(**good, **derived)
     with pytest.raises(ValueError):
         BoundReport(**{**good, "lhs": 1.5})
-    with pytest.raises(ValueError):
-        BoundReport(**{**good, "holds": False})
-    with pytest.raises(ValueError):
-        BoundReport(**{**good, "slack": 0.25})
     with pytest.raises(ValueError):
         BoundReport(**{**good, "ci_halfwidth": 0.1})
     with pytest.raises(ValueError):
@@ -385,7 +445,7 @@ def test_rows_sorted_and_round_trip():
     assert rows_to_csv(rows_from_csv(csv_text)) == csv_text
 
     json_text = rows_to_json(ordered)
-    assert rows_from_json(json_text) == ordered
+    assert json.loads(json_text) == ordered
 
 
 def test_inequality_enum_is_frozen():

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from tailbounds import DiscreteMeasure, PNormSpace, Sampler, build, save_measure
 from tailbounds.bounds import rows_from_csv
-from tailbounds.cli import RunConfig, UsageError, _finish_rows, main, parse_grid
+from tailbounds.cli import UsageError, _finish_rows, main, parse_grid
 from tailbounds.covop import save_operator
 from tailbounds.measure import GAUSSIAN
 
@@ -229,9 +230,23 @@ def test_parse_grid():
     assert log[1] == pytest.approx(1.0, rel=1e-12)
     assert parse_grid("2:2:1,lin") == (2.0,)
     for bad in ("1:4:3", "1:4,log", "4:1:3,lin", "0:1:3,log", "1:4:0,lin",
-                "1:4:10001,log", "a:b:c,lin"):
+                "1:4:10001,log", "a:b:c,lin", "1:1:3,log"):
         with pytest.raises(UsageError):
             parse_grid(bad)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--epsilon", "nan"), "epsilon values must be positive, got nan"),
+        (("--epsilon", "inf"), "epsilon values must be positive, got inf"),
+        (("--epsilon", "-1"), "epsilon values must be positive, got -1.0"),
+        (("--epsilon", "1.0", "--seed", "-1"), "seed must be a nonnegative integer, got -1"),
+    ],
+)
+def test_bad_epsilon_or_seed_exit_1(signs_path, capsys, flags, message):
+    code, out, err = run(capsys, "verify", "--input", signs_path, *flags)
+    assert (code, out, err) == (1, "", f"usage error: {message}\n")
 
 
 def test_mc_norm_statistic(sampler_path, capsys):
@@ -403,12 +418,7 @@ def test_reduce_rejects_p_not_2(tmp_path, capsys):
 def test_violation_rows_exit_2(capsys):
     # the evaluators cannot produce a failing row, so the exit-2 wiring is
     # driven with a fabricated one
-    config = RunConfig(
-        command="verify",
-        input_path="unused",
-        epsilons=(1.0,),
-        fmt="csv",
-    )
+    config = argparse.Namespace(fmt="csv", out=None)
     row = {
         "inequality": "grenander",
         "epsilon": 1.0,
