@@ -76,7 +76,6 @@ from .measure import (
 from .space import (
     NormInterval,
     PNormSpace,
-    Vector,
     conjugate_exponent,
     dual_norm,
     holder_extremizer,

@@ -18,7 +18,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .covop import CovarianceOperator, InverseOperator, build, invert, mahalanobis
+from .covop import (
+    CovarianceOperator,
+    InverseOperator,
+    _quadratic_values,
+    build,
+    invert,
+    mahalanobis,
+)
 from .errors import (
     ApplicabilityError,
     CenteringError,
@@ -170,22 +177,15 @@ def _require_centered(state: _MeasureState, inequality: str) -> None:
         )
 
 
-def _quadratic_values(atoms: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,jk,ik->i", atoms, matrix, atoms)
-
-
 class _MeasureState:
     """A measure with its mean, operator, inverse and per-atom Mahalanobis statistic.
 
     Each is computed on first use (a failed inversion too, whose error is
     raised again) and shared by every inequality and epsilon evaluated on it.
-    A caller that already holds the operator passes it in.
     """
 
-    def __init__(self, measure: DiscreteMeasure, operator: CovarianceOperator | None = None):
+    def __init__(self, measure: DiscreteMeasure):
         self.measure = measure
-        if operator is not None:
-            self.operator = operator  # takes the place of the cached build
 
     @cached_property
     def mean(self) -> np.ndarray:

@@ -30,7 +30,7 @@ from .bounds import (
     rows_to_json,
     sort_rows,
 )
-from .covop import build, cauchy_estimate, invert, load_operator
+from .covop import cauchy_estimate, invert, load_operator
 from .errors import CenteringError, NotPositiveDefiniteError, TailboundsError
 from .hilbert import _equivalence_grid, riesz, verify_ST_equals_SH
 from .measure import load_measure, load_sampler, quantize_draws, save_measure
@@ -77,7 +77,7 @@ def parse_grid(text: str) -> tuple:
         raise UsageError(f"grid must look like start:stop:points,log|lin, got {text!r}")
     if points < 1 or points > MAX_GRID_POINTS:
         raise UsageError(f"grid points must be in 1..{MAX_GRID_POINTS}, got {points}")
-    if not (0.0 < start <= stop):
+    if not (0.0 < start <= stop < np.inf):
         raise UsageError(f"grid needs 0 < start <= stop, got {start}..{stop}")
     if points == 1:
         values = (start,)
@@ -100,16 +100,9 @@ def _epsilons_from_args(args) -> tuple:
 
 
 def _skip_row(inequality: str, epsilon: float, reason: str) -> dict:
-    return {
-        "inequality": inequality,
-        "epsilon": float(epsilon),
-        "lhs": None,
-        "ci_halfwidth": None,
-        "rhs": None,
-        "holds": True,
-        "slack": None,
-        "method": reason,
-    }
+    row = dict.fromkeys(REPORT_FIELDS)  # the fields a skip cannot compute stay None
+    row.update(inequality=inequality, epsilon=float(epsilon), holds=True, method=reason)
+    return row
 
 
 def _static_skip_reason(inequality: str, measure) -> str | None:
@@ -255,13 +248,14 @@ def cmd_quantize(config: argparse.Namespace) -> int:
 def cmd_reduce(config: argparse.Namespace) -> int:
     measure = load_measure(config.input)
     transport = riesz(measure.space)  # raises on p != 2, naming the rule
-    operator = build(measure)
-    state = _MeasureState(measure, operator)  # shared by every check and every epsilon
-    operator_gap = verify_ST_equals_SH(measure, transport, seed=config.seed, operator=operator)
+    state = _MeasureState(measure)  # shared by every check and every epsilon
+    operator_gap = verify_ST_equals_SH(
+        measure, transport, seed=config.seed, operator=state.operator
+    )
     # identity gram: the quadratic-form matrix and its inverse are these, and
     # the pushforward is the measure, so both transported moments are this one
     inverse_norm = state.inverse.norm_interval.upper
-    moment = operator.second_moment
+    moment = state.operator.second_moment
 
     entries = []
     failures = []

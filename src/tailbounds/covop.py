@@ -25,6 +25,7 @@ from .space import (
     NormInterval,
     PNormSpace,
     ROLE_PRIMAL,
+    _coords,
     dual_norm,
     exponent_from_json,
     exponent_to_json,
@@ -60,6 +61,11 @@ def accumulate_outer(left: np.ndarray, right: np.ndarray, weights: np.ndarray) -
     if symmetric:
         matrix[cols, rows] = sums
     return matrix
+
+
+def _quadratic_values(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """The quadratic form x^T M x of every row x."""
+    return np.einsum("ij,jk,ik->i", rows, matrix, rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,26 +139,19 @@ def build(measure: DiscreteMeasure) -> CovarianceOperator:
 
 def apply(operator: CovarianceOperator, f) -> np.ndarray:
     """Image S f of a dual vector, as coordinates of a primal vector."""
-    fc = np.asarray(f, dtype=float)
-    if fc.shape != (operator.space.dim,):
-        raise ShapeError(f"expected shape ({operator.space.dim},), got {fc.shape}")
-    return operator.matrix @ fc
+    return operator.matrix @ _coords(f, operator.space.dim)
 
 
 def quad_form(operator: CovarianceOperator, f, g=None) -> float:
     """<S f, g> = sum_i w_i <f, x_i> <g, x_i>; g defaults to f."""
-    fc = np.asarray(f, dtype=float)
-    gc = fc if g is None else np.asarray(g, dtype=float)
-    d = operator.space.dim
-    if fc.shape != (d,) or gc.shape != (d,):
-        raise ShapeError(f"expected shape ({d},), got {fc.shape} and {gc.shape}")
+    fc = _coords(f, operator.space.dim)
+    gc = fc if g is None else _coords(g, operator.space.dim)
     return float(fc @ operator.matrix @ gc)
 
 
 def linearity_check(operator: CovarianceOperator, f, g, a: float, b: float) -> float:
     """p-norm of S(a f + b g) - a S f - b S g; zero up to rounding."""
-    fc = np.asarray(f, dtype=float)
-    gc = np.asarray(g, dtype=float)
+    fc, gc = _coords(f, operator.space.dim), _coords(g, operator.space.dim)
     residual = apply(operator, a * fc + b * gc) - a * apply(operator, fc) - b * apply(operator, gc)
     return p_norm(residual, operator.space.p)
 
@@ -225,7 +224,7 @@ def mahalanobis(inverse: InverseOperator, y):
     d = inverse.space.dim
     if rows.ndim != 2 or rows.shape[1] != d:
         raise ShapeError(f"expected vectors of dimension {d}, got shape {arr.shape}")
-    values = np.einsum("ij,jk,ik->i", rows, inverse.matrix, rows)
+    values = _quadratic_values(rows, inverse.matrix)
     allowance = (
         MAHALANOBIS_CLAMP
         * p_norm_rows(rows, inverse.space.p) ** 2

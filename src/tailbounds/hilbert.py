@@ -26,10 +26,10 @@ from .bounds import (
     _require_centered,
     _require_hilbert,
 )
-from .covop import CovarianceOperator, accumulate_outer, build, invert
+from .covop import CovarianceOperator, _quadratic_values, accumulate_outer, build, invert
 from .errors import ApplicabilityError, RoleError, ShapeError
 from .measure import DiscreteMeasure, _exact_sum, pushforward, second_moment
-from .space import PNormSpace, ROLE_DUAL, ROLE_PRIMAL
+from .space import PNormSpace, ROLE_DUAL, ROLE_PRIMAL, _coords
 
 GRAM_EIGENVALUE_FLOOR = 1e-12  # relative to the trace
 EQUALITY_TOL = 1e-12
@@ -69,19 +69,16 @@ class RieszMap:
 
     def apply(self, x) -> np.ndarray:
         """Coordinates of the functional Tx."""
-        v = np.asarray(x, dtype=float)
-        if v.shape != (self.dim,):
-            raise ShapeError(f"expected a vector of length {self.dim}, got shape {v.shape}")
-        return self.gram @ v
+        return self.gram @ _coords(x, self.dim)
 
     def norm(self, x) -> float:
         """The G-weighted norm sqrt(x^T G x)."""
-        v = np.asarray(x, dtype=float)
+        v = _coords(x, self.dim)
         return float(np.sqrt(v @ self.gram @ v))
 
     def dual_norm(self, f) -> float:
         """The G^{-1}-weighted norm sqrt(f^T G^{-1} f) of a functional."""
-        v = np.asarray(f, dtype=float)
+        v = _coords(f, self.dim)
         return float(np.sqrt(v @ np.linalg.solve(self.gram, v)))
 
 
@@ -165,8 +162,7 @@ def isometry_pushforward_moment(
         value = second_moment(measure)
         return value, value, True
     image = pushforward(measure, transport.gram, role=ROLE_DUAL)
-    gram_norms = np.einsum("ij,jk,ik->i", measure.atoms, transport.gram, measure.atoms)
-    lhs = _exact_sum(measure.weights * gram_norms)
+    lhs = _exact_sum(measure.weights * _quadratic_values(measure.atoms, transport.gram))
     solved = np.linalg.solve(transport.gram, image.atoms.T).T
     rhs = _exact_sum(image.weights * np.einsum("ij,ij->i", image.atoms, solved))
     gap = abs(lhs - rhs)

@@ -70,42 +70,14 @@ class PNormSpace:
         return conjugate_exponent(self.p)
 
 
-@dataclass(frozen=True, eq=False)
-class Vector:
-    """A coordinate vector tagged with its space and side of the duality."""
-
-    coords: np.ndarray
-    space: PNormSpace
-    role: str = ROLE_PRIMAL
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.ndim != 1 or coords.shape[0] != self.space.dim:
-            raise ShapeError(
-                f"expected {self.space.dim} coordinates, got shape {coords.shape}"
-            )
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("coordinates must be finite")
-        if self.role not in ROLES:
-            raise ValueError(f"role must be one of {ROLES}, got {self.role!r}")
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def exponent(self) -> float:
-        # dual vectors are measured in the conjugate norm
-        return self.space.p if self.role == ROLE_PRIMAL else self.space.q
-
-    def norm(self) -> float:
-        return p_norm(self.coords, self.exponent)
-
-
-def _coords(x) -> np.ndarray:
-    if isinstance(x, Vector):
-        return x.coords
+def _coords(x, dim: int | None = None) -> np.ndarray:
+    """Coordinates of one vector: 1-d, finite and, when `dim` is given, of that length."""
     v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
+    if dim is None and v.ndim != 1:
         raise ShapeError(f"expected a 1-d vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if dim is not None and v.shape != (dim,):
+        raise ShapeError(f"expected a vector of length {dim}, got shape {v.shape}")
+    if not np.isfinite(v).all():
         raise ValueError("coordinates must be finite")
     return v
 
@@ -136,10 +108,8 @@ def p_norm(x, p: float) -> float:
 
 def pair(f, x) -> float:
     """Duality pairing <f, x> = sum_i f_i x_i."""
-    fc, xc = _coords(f), _coords(x)
-    if fc.shape != xc.shape:
-        raise ShapeError(f"pairing shape mismatch: {fc.shape} vs {xc.shape}")
-    return float(np.dot(fc, xc))
+    fc = _coords(f)
+    return float(np.dot(fc, _coords(x, len(fc))))
 
 
 def dual_norm(f, p: float) -> float:

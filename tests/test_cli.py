@@ -4,10 +4,21 @@ import json
 import numpy as np
 import pytest
 
-from tailbounds import DiscreteMeasure, PNormSpace, Sampler, build, save_measure
-from tailbounds.bounds import rows_from_csv
+import tailbounds.cli
+from tailbounds import (
+    DiscreteMeasure,
+    PNormSpace,
+    Sampler,
+    build,
+    invert,
+    mc_tail,
+    save_measure,
+    sweep,
+)
+from tailbounds.bounds import report_to_row, rows_from_csv
 from tailbounds.cli import UsageError, _finish_rows, main, parse_grid
 from tailbounds.covop import save_operator
+from tailbounds.errors import ShapeError
 from tailbounds.measure import GAUSSIAN
 
 
@@ -233,6 +244,10 @@ def test_parse_grid():
                 "1:4:10001,log", "a:b:c,lin", "1:1:3,log"):
         with pytest.raises(UsageError):
             parse_grid(bad)
+    # an infinite end is refused by the range check, before any grid is made
+    for infinite in ("1:inf:3,lin", "1:inf:3,log"):
+        with pytest.raises(UsageError, match=r"^grid needs 0 < start <= stop, got 1\.0\.\.inf$"):
+            parse_grid(infinite)
 
 
 @pytest.mark.parametrize(
@@ -242,6 +257,8 @@ def test_parse_grid():
         (("--epsilon", "inf"), "epsilon values must be positive, got inf"),
         (("--epsilon", "-1"), "epsilon values must be positive, got -1.0"),
         (("--epsilon", "1.0", "--seed", "-1"), "seed must be a nonnegative integer, got -1"),
+        (("--grid", "1:inf:3,lin"), "grid needs 0 < start <= stop, got 1.0..inf"),
+        (("--grid", "1:inf:3,log"), "grid needs 0 < start <= stop, got 1.0..inf"),
     ],
 )
 def test_bad_epsilon_or_seed_exit_1(signs_path, capsys, flags, message):
@@ -413,6 +430,53 @@ def test_reduce_rejects_p_not_2(tmp_path, capsys):
     code, _, err = run(capsys, "reduce", "--input", str(path), "--epsilon", "1.0")
     assert code == 1
     assert "p = 2" in err
+
+
+def test_reduce_failed_identity_exits_2(signs_path, capsys, monkeypatch):
+    monkeypatch.setattr(tailbounds.cli, "verify_ST_equals_SH", lambda *args, **kwargs: 1.0)
+    code, out, err = run(capsys, "reduce", "--input", signs_path, "--grid", "0.3:3:4,log")
+    assert code == 2
+    assert json.loads(out)["failures"] == ["quadratic forms differ by 1.0 relative"]
+    assert err == "violation: quadratic forms differ by 1.0 relative\n"
+
+
+def dual_functionals(dim: int) -> DiscreteMeasure:
+    rng = np.random.default_rng(dim)
+    atoms = rng.standard_normal((5, dim))
+    return DiscreteMeasure(PNormSpace(dim, 2.0), atoms, np.full(5, 0.2), role="dual")
+
+
+def test_verify_banach_dual_reads_the_dual_input(signs_path, tmp_path, capsys):
+    dual_path = tmp_path / "dual.json"
+    save_measure(dual_functionals(2), dual_path)
+    grid = "0.1:2:5,log"
+    args = ("verify", "--input", signs_path, "--inequality", "banach_dual", "--grid", grid)
+    code, out, err = run(capsys, *args, "--dual-input", str(dual_path))
+    assert (code, err) == (0, "")
+    reports = sweep("banach_dual", signs_measure(), parse_grid(grid), pstar=dual_functionals(2))
+    assert json.loads(out) == [report_to_row(report) for report in reports]
+    # without --dual-input the measure's own atoms are the functionals
+    assert run(capsys, *args)[1] != out
+
+
+def test_verify_rejects_mismatched_inputs(signs_path, tmp_path, capsys):
+    dual_path = tmp_path / "dual3.json"
+    save_measure(dual_functionals(3), dual_path)
+    code, out, err = run(
+        capsys, "verify", "--input", signs_path, "--inequality", "banach_dual",
+        "--epsilon", "1.0", "--dual-input", str(dual_path),
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: dual measure lives on PNormSpace(dim=3")
+
+    code, out, err = run(capsys, "verify", "--input", str(dual_path), "--epsilon", "1.0")
+    assert (code, out, err) == (1, "", "error: verify expects a primal measure as input\n")
+
+    sampler = Sampler(space=PNormSpace(2, 2.0), family=GAUSSIAN, seed=0)
+    operator = build(signs_measure(3))
+    for statistic, given in (("quad_S", operator), ("mahalanobis_S", invert(operator))):
+        with pytest.raises(ShapeError, match="sampler and operator dimensions differ"):
+            mc_tail(sampler, statistic, given, 1.0, 100)
 
 
 def test_violation_rows_exit_2(capsys):

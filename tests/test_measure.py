@@ -86,6 +86,9 @@ def test_json_round_trip(tmp_path):
 def test_from_dict_names_missing_fields():
     with pytest.raises(ValueError, match="weights"):
         DiscreteMeasure.from_dict({"dim": 1, "p": 2.0, "atoms": [[0.0]]})
+    # role has no default: a measure without it is refused, naming it
+    with pytest.raises(ValueError, match=r"missing fields: \['role'\]"):
+        DiscreteMeasure.from_dict({"dim": 1, "p": 2.0, "atoms": [[0.0]], "weights": [1.0]})
 
 
 def test_second_moment_examples():

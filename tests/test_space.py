@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -6,15 +7,20 @@ import numpy as np
 import pytest
 
 from tailbounds import (
+    DiscreteMeasure,
     NormInterval,
     PNormSpace,
-    Vector,
+    apply,
+    build,
     conjugate_exponent,
     dual_norm,
     holder_extremizer,
+    linearity_check,
     operator_norm,
     p_norm,
     pair,
+    quad_form,
+    riesz,
 )
 from tailbounds.errors import ShapeError
 from tailbounds.space import exponent_from_json, exponent_to_json, p_norm_rows
@@ -52,17 +58,29 @@ def test_space_validation():
         PNormSpace(2, 0.9)
 
 
-def test_vector_validation():
+VECTOR_FUNCTIONS = {
+    "apply": lambda op, t, v: apply(op, v),
+    "quad_form": lambda op, t, v: quad_form(op, v),
+    "linearity_check": lambda op, t, v: linearity_check(op, v, [1.0, 0.0], 2.0, 3.0),
+    "pair": lambda op, t, v: pair([1.0, 2.0], v),
+    "RieszMap.apply": lambda op, t, v: t.apply(v),
+    "RieszMap.norm": lambda op, t, v: t.norm(v),
+    "RieszMap.dual_norm": lambda op, t, v: t.dual_norm(v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VECTOR_FUNCTIONS))
+def test_vector_functions_reject_wrong_length_and_nan(name):
     space = PNormSpace(2, 2.0)
-    v = Vector([3.0, 4.0], space)
-    assert v.norm() == 5.0
-    dual = Vector([3.0, 4.0], PNormSpace(2, 1.0), role="dual")
-    assert dual.exponent == math.inf
-    assert dual.norm() == 4.0
-    with pytest.raises(ShapeError):
-        Vector([1.0], space)
-    with pytest.raises(ValueError):
-        Vector([1.0, math.nan], space)
+    operator = build(DiscreteMeasure(space, [[1.0, 0.0], [0.0, 2.0]], [0.5, 0.5]))
+    call = functools.partial(VECTOR_FUNCTIONS[name], operator, riesz(space))
+    assert np.all(np.isfinite(call([3.0, 4.0])))
+    for wrong in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]):
+        with pytest.raises(ShapeError, match=r"expected a vector of length 2, got shape"):
+            call(wrong)
+    for bad in ([1.0, math.nan], [math.inf, 0.0]):
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            call(bad)
 
 
 def test_p_norm_examples():
@@ -150,6 +168,8 @@ def test_pair_examples_and_shape_error():
     assert pair([1.0, 2.0], [2.0, -1.0]) == 0.0
     with pytest.raises(ShapeError):
         pair([1.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ShapeError, match=r"expected a 1-d vector, got shape \(1, 2\)"):
+        pair([[1.0, 2.0]], [1.0, 2.0])
 
 
 def test_dual_norm_examples():
