@@ -5,6 +5,12 @@ discrete measure and compares it against the closed-form bound.  Boundary
 semantics follow the source results clause by clause: the quadratic-form
 bounds named rao_* use a strict ">" event, everything else uses ">=".
 RHS values above 1 are reported as-is; a vacuous bound still holds.
+
+A statistic is sorted once, with the exact tail sums of its weights, and
+then evaluated on a whole epsilon grid at a time (_evaluate_grid): one
+binary search places every epsilon, one pass sums the selected tails, and
+the report invariants are checked once per grid.  A single epsilon is the
+one-point grid.
 """
 
 from __future__ import annotations
@@ -33,7 +39,9 @@ from .errors import (
     RoleError,
     ShapeError,
 )
-from .measure import DiscreteMeasure, Sampler, _exact_sum, _sorted_tails, mean, second_moment
+from .measure import (
+    DiscreteMeasure, Sampler, _exact_sum, _rounded, _sorted_tails, mean, second_moment
+)
 from .space import ROLE_DUAL, p_norm_rows
 
 SCALAR = "scalar"
@@ -86,6 +94,28 @@ def _check_epsilon(epsilon: float) -> float:
     return epsilon
 
 
+def _check_fields(inequality: str, lhs: float, ci_halfwidth: float, rhs: float, method: str):
+    """A report's invariants besides its epsilon.  Each keeps a field in a range,
+    so a grid's values meet them when each field's smallest and largest do."""
+    if inequality not in INEQUALITIES:
+        raise ValueError(f"unknown inequality {inequality!r}")
+    if not (-1e-9 <= lhs <= 1.0 + 1e-9):
+        raise ValueError(f"lhs must be a probability, got {lhs!r}")
+    if ci_halfwidth < 0.0:
+        raise ValueError(f"ci_halfwidth must be >= 0, got {ci_halfwidth!r}")
+    if not (rhs >= 0.0 and math.isfinite(rhs)):
+        raise ValueError(f"rhs must be finite and >= 0, got {rhs!r}")
+    if method == EXACT_ENUMERATION and ci_halfwidth != 0.0:
+        raise ValueError("exact enumeration must report ci_halfwidth = 0")
+    if method not in (EXACT_ENUMERATION, MONTE_CARLO):
+        raise ValueError(f"unknown method {method!r}")
+
+
+def _holds(lhs, ci_halfwidth, rhs):
+    """BoundReport.holds, of one report or of a grid's columns."""
+    return lhs <= rhs + ci_halfwidth + HOLDS_SLACK
+
+
 @dataclass(frozen=True, eq=False)
 class BoundReport:
     """One evaluated inequality: tail probability against its bound.
@@ -105,23 +135,12 @@ class BoundReport:
     detail: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.inequality not in INEQUALITIES:
-            raise ValueError(f"unknown inequality {self.inequality!r}")
         _check_epsilon(self.epsilon)
-        if not (-1e-9 <= self.lhs <= 1.0 + 1e-9):
-            raise ValueError(f"lhs must be a probability, got {self.lhs!r}")
-        if self.ci_halfwidth < 0.0:
-            raise ValueError(f"ci_halfwidth must be >= 0, got {self.ci_halfwidth!r}")
-        if not (self.rhs >= 0.0 and math.isfinite(self.rhs)):
-            raise ValueError(f"rhs must be finite and >= 0, got {self.rhs!r}")
-        if self.method == EXACT_ENUMERATION and self.ci_halfwidth != 0.0:
-            raise ValueError("exact enumeration must report ci_halfwidth = 0")
-        if self.method not in (EXACT_ENUMERATION, MONTE_CARLO):
-            raise ValueError(f"unknown method {self.method!r}")
+        _check_fields(self.inequality, self.lhs, self.ci_halfwidth, self.rhs, self.method)
 
     @property
     def holds(self) -> bool:
-        return self.lhs <= self.rhs + self.ci_halfwidth + HOLDS_SLACK
+        return _holds(self.lhs, self.ci_halfwidth, self.rhs)
 
     @property
     def slack(self) -> float:
@@ -147,19 +166,42 @@ class _Prepared:
     draws: int = 0
 
 
-def _evaluate(prepared: _Prepared, epsilon: float) -> BoundReport:
-    epsilon = _check_epsilon(epsilon)
+def _evaluate_grid(prepared: _Prepared, epsilons) -> list[dict]:
+    """The report rows of one statistic at every epsilon of a grid.
+
+    One binary search places the whole grid among the sorted values and one
+    pass sums the tail columns it selects, each to its math.fsum.  The RHS
+    is c / eps**power in Python floats, one epsilon at a time, because
+    numpy's array power rounds some squares differently from Python's.
+    """
+    grid = np.asarray(epsilons, dtype=float)
+    for epsilon in (grid.min(), grid.max()):
+        _check_epsilon(epsilon)
     # the tail starts at the first value > eps (strict) or >= eps
     side = "right" if prepared.strict else "left"
-    start = np.searchsorted(prepared.values, epsilon, side=side)
-    lhs = math.fsum(prepared.tails[:, start])
-    rhs = prepared.scale / epsilon**prepared.power
-    method, half_width = EXACT_ENUMERATION, 0.0
+    lhs = _rounded(prepared.tails[:, np.searchsorted(prepared.values, grid, side=side)])
+    epsilons = grid.tolist()
+    rhs = np.array([prepared.scale / epsilon**prepared.power for epsilon in epsilons])
+    method, half_width = EXACT_ENUMERATION, np.zeros(len(epsilons))
     if prepared.draws:
         lhs /= prepared.draws
-        half_width = MC_CI_MULTIPLIER * math.sqrt(lhs * (1.0 - lhs) / prepared.draws)
+        half_width = MC_CI_MULTIPLIER * np.sqrt(lhs * (1.0 - lhs) / prepared.draws)
         method = MONTE_CARLO
-    return BoundReport(prepared.inequality, epsilon, lhs, half_width, rhs, method, prepared.detail)
+    for extreme in (np.min, np.max):
+        _check_fields(
+            prepared.inequality, *(float(extreme(c)) for c in (lhs, half_width, rhs)), method
+        )
+    columns = (lhs, half_width, rhs, _holds(lhs, half_width, rhs), rhs - lhs)
+    return [
+        dict(zip(REPORT_FIELDS, (prepared.inequality, *row, method)))
+        for row in zip(epsilons, *(column.tolist() for column in columns))
+    ]
+
+
+def _reports(prepared: _Prepared, epsilons) -> list[BoundReport]:
+    names = ("inequality", "epsilon", "lhs", "ci_halfwidth", "rhs", "method")
+    rows = _evaluate_grid(prepared, epsilons)
+    return [BoundReport(*map(row.__getitem__, names), prepared.detail) for row in rows]
 
 
 def _require_hilbert(measure: DiscreteMeasure, inequality: str) -> None:
@@ -291,22 +333,22 @@ def _prepare_banach_mahalanobis(state: _MeasureState) -> _Prepared:
 
 def scalar_chebyshev(measure: DiscreteMeasure, epsilon: float) -> BoundReport:
     """P{|X - EX| >= eps} <= Var(X)/eps^2 for a one-dimensional measure."""
-    return _evaluate(_prepare(SCALAR, _MeasureState(measure)), epsilon)
+    return _reports(_prepare(SCALAR, _MeasureState(measure)), [epsilon])[0]
 
 
 def euclidean_chebyshev(measure: DiscreteMeasure, epsilon: float) -> BoundReport:
     """P{||X - EX|| >= eps} <= E||X - EX||^2 / eps^2 in the Euclidean norm."""
-    return _evaluate(_prepare(EUCLIDEAN, _MeasureState(measure)), epsilon)
+    return _reports(_prepare(EUCLIDEAN, _MeasureState(measure)), [epsilon])[0]
 
 
 def grenander(measure: DiscreteMeasure, epsilon: float) -> BoundReport:
     """Uncentered Hilbert version: P{||X|| >= eps} <= E||X||^2 / eps^2."""
-    return _evaluate(_prepare(GRENANDER, _MeasureState(measure)), epsilon)
+    return _reports(_prepare(GRENANDER, _MeasureState(measure)), [epsilon])[0]
 
 
 def chen(measure: DiscreteMeasure, epsilon: float) -> BoundReport:
     """P{X^T Sigma^{-1} X >= eps} <= dim/eps for a centered measure."""
-    return _evaluate(_prepare(CHEN, _MeasureState(measure)), epsilon)
+    return _reports(_prepare(CHEN, _MeasureState(measure)), [epsilon])[0]
 
 
 def rao(measure: DiscreteMeasure, epsilon: float) -> tuple[BoundReport, BoundReport]:
@@ -316,8 +358,8 @@ def rao(measure: DiscreteMeasure, epsilon: float) -> tuple[BoundReport, BoundRep
     Inverse: P{(S^{-1}X, X) > eps} <= (||S^{-1}|| E||X||^2)^2 / eps.
     """
     state = _MeasureState(measure)
-    forward = _evaluate(_prepare(RAO_FORWARD, state), epsilon)
-    inverse = _evaluate(_prepare(RAO_INVERSE, state), epsilon)
+    forward = _reports(_prepare(RAO_FORWARD, state), [epsilon])[0]
+    inverse = _reports(_prepare(RAO_INVERSE, state), [epsilon])[0]
     return forward, inverse
 
 
@@ -328,7 +370,7 @@ def banach_dual_bound(
 
     pstar is a measure over functionals (dual role) on the operator's space.
     """
-    return _evaluate(_prepare_banach_dual(operator, pstar), epsilon)
+    return _reports(_prepare_banach_dual(operator, pstar), [epsilon])[0]
 
 
 def banach_mahalanobis_bound(measure: DiscreteMeasure, epsilon: float) -> BoundReport:
@@ -337,7 +379,7 @@ def banach_mahalanobis_bound(measure: DiscreteMeasure, epsilon: float) -> BoundR
     The p->q norm of the inverse may be a bracket; the bound uses the upper
     endpoint and the report's detail carries both endpoints.
     """
-    return _evaluate(_prepare(BANACH_MAHALANOBIS, _MeasureState(measure)), epsilon)
+    return _reports(_prepare(BANACH_MAHALANOBIS, _MeasureState(measure)), [epsilon])[0]
 
 
 def _prepare(inequality: str, state: _MeasureState, pstar=None) -> _Prepared:
@@ -379,8 +421,7 @@ def sweep(
         raise ValueError("epsilon grid must not be empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("epsilon grid must be strictly ascending")
-    prepared = _prepare(inequality, _MeasureState(measure), pstar)
-    return [_evaluate(prepared, epsilon) for epsilon in grid]
+    return _reports(_prepare(inequality, _MeasureState(measure), pstar), grid)
 
 
 def mc_tail(
@@ -404,12 +445,12 @@ def mc_tail(
     takes no operator.  The half-width 3 sqrt(lhs(1-lhs)/n) is folded into
     `holds` so sampling noise cannot flag a spurious violation.
     """
-    return _mc_grid(sampler, statistic, operator, [epsilon], n_draws, seed)[0]
+    epsilon = _check_epsilon(epsilon)
+    return _reports(_mc_prepare(sampler, statistic, operator, n_draws, seed), [epsilon])[0]
 
 
-def _mc_grid(sampler, statistic, operator, epsilons, n_draws, seed=None) -> list[BoundReport]:
-    """mc_tail at every epsilon, all on one sample drawn once."""
-    epsilons = [_check_epsilon(epsilon) for epsilon in epsilons]
+def _mc_prepare(sampler, statistic, operator, n_draws, seed=None) -> _Prepared:
+    """mc_tail's statistic on one sample, drawn once, for evaluation on any grid."""
     if statistic not in MC_STATISTICS:
         raise ValueError(f"statistic must be one of {MC_STATISTICS}, got {statistic!r}")
     if n_draws < MC_MIN_DRAWS:
@@ -445,20 +486,9 @@ def _mc_grid(sampler, statistic, operator, epsilons, n_draws, seed=None) -> list
         inequality = BANACH_MAHALANOBIS
         detail = _norm_detail(operator.norm_interval)
 
-    prepared = _Prepared(
+    return _Prepared(
         inequality, *_sorted_tails(values, np.ones(n_draws)), False, scale, power, detail, n_draws
     )
-    return [_evaluate(prepared, epsilon) for epsilon in epsilons]
-
-
-def _format_cell(value) -> str:
-    if value is None:
-        return "nan"  # skipped rows carry no numbers
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
 
 
 def report_to_row(report: BoundReport) -> dict:
@@ -471,12 +501,24 @@ def sort_rows(rows) -> list[dict]:
 
 
 def rows_to_csv(rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(REPORT_FIELDS)
+    """CSV text of report rows: the REPORT_FIELDS header, then one line per row.
+
+    Floats print with 17 significant digits, `holds` as true/false, and the
+    numbers a skipped row lacks (None) as nan.  No cell of a report row
+    holds a comma, a quote or a line break, so no cell needs quoting.
+    """
+    lines = [",".join(REPORT_FIELDS)]
     for row in rows:
-        writer.writerow([_format_cell(row[name]) for name in REPORT_FIELDS])
-    return buffer.getvalue()
+        if None in row.values():  # a skipped row carries no numbers
+            row = {name: math.nan if value is None else value for name, value in row.items()}
+        lines.append(
+            "%s,%.17g,%.17g,%.17g,%.17g,%s,%.17g,%s" % (
+                row["inequality"], row["epsilon"], row["lhs"], row["ci_halfwidth"], row["rhs"],
+                "true" if row["holds"] else "false", row["slack"], row["method"],
+            )
+        )
+    lines.append("")
+    return "\n".join(lines)
 
 
 def rows_from_csv(text: str) -> list[dict]:

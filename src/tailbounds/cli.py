@@ -10,6 +10,7 @@ process.  All randomness flows from --seed; reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -21,11 +22,10 @@ from .bounds import (
     INEQUALITIES,
     REPORT_FIELDS,
     SCALAR,
-    _evaluate,
+    _evaluate_grid,
     _MeasureState,
-    _mc_grid,
+    _mc_prepare,
     _prepare,
-    report_to_row,
     rows_to_csv,
     rows_to_json,
     sort_rows,
@@ -33,7 +33,7 @@ from .bounds import (
 from .covop import cauchy_estimate, invert, load_operator
 from .errors import CenteringError, NotPositiveDefiniteError, TailboundsError
 from .hilbert import _equivalence_grid, riesz, verify_ST_equals_SH
-from .measure import load_measure, load_sampler, quantize_draws, save_measure
+from .measure import _measure_json, load_measure, load_sampler, quantize_draws, save_measure
 from .space import ROLE_DUAL, ROLE_PRIMAL, conjugate_exponent, p_norm, p_norm_rows
 
 FORMATS = ("json", "csv")
@@ -167,7 +167,7 @@ def cmd_verify(config: argparse.Namespace) -> int:
         except CenteringError:
             rows.extend(_skip_row(name, eps, SKIP_NOT_CENTERED) for eps in config.epsilons)
             continue
-        rows.extend(report_to_row(_evaluate(prepared, eps)) for eps in config.epsilons)
+        rows.extend(_evaluate_grid(prepared, config.epsilons))
     return _finish_rows(config, rows)
 
 
@@ -184,10 +184,8 @@ def cmd_mc(config: argparse.Namespace) -> int:
         except NotPositiveDefiniteError:
             rows = [_skip_row("banach_mahalanobis", eps, SKIP_NOT_PD) for eps in config.epsilons]
             return _finish_rows(config, rows)
-    reports = _mc_grid(
-        sampler, config.statistic, operator, config.epsilons, config.draws, seed=config.seed
-    )
-    return _finish_rows(config, [report_to_row(report) for report in reports])
+    prepared = _mc_prepare(sampler, config.statistic, operator, config.draws, seed=config.seed)
+    return _finish_rows(config, _evaluate_grid(prepared, config.epsilons))
 
 
 def cmd_quantize(config: argparse.Namespace) -> int:
@@ -233,7 +231,7 @@ def cmd_quantize(config: argparse.Namespace) -> int:
         with open(config.out + ".report.json", "w") as fh:
             fh.write(report_text)
     else:
-        sys.stdout.write(json.dumps(snapped.to_dict(), indent=2) + "\n")
+        sys.stdout.writelines(_measure_json(snapped))
         sys.stderr.write(report_text)
     ok = (
         report["quantization"]["shrink_ok"]
@@ -309,6 +307,7 @@ def cmd_reduce(config: argparse.Namespace) -> int:
     return 2 if failures else 0
 
 
+@functools.cache  # built on the first call; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tailbounds", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)

@@ -20,9 +20,9 @@ from .bounds import (
     RAO_FORWARD,
     RAO_INVERSE,
     BoundReport,
-    _evaluate,
     _MeasureState,
     _prepare,
+    _reports,
     _require_centered,
     _require_hilbert,
 )
@@ -244,19 +244,17 @@ def _equivalence_grid(state: _MeasureState, epsilons) -> list[EquivalenceResult]
     _require_hilbert(state.measure, "the bound equivalence")
     _require_centered(state, "the bound equivalence")
     image = pushforward(state.measure, riesz(state.measure.space).gram, role=ROLE_DUAL)
-    forward_banach = _prepare(BANACH_DUAL, state, image)
-    forward_hilbert = _prepare(RAO_FORWARD, state)
-    inverse_hilbert = _prepare(RAO_INVERSE, state)
-    inverse_banach = _prepare(BANACH_MAHALANOBIS, state)
-    # boundary atoms are detected by exact comparison, mirroring the events
-    return [
-        EquivalenceResult(
-            forward_banach=_evaluate(forward_banach, epsilon),
-            forward_hilbert=_evaluate(forward_hilbert, epsilon),
-            inverse_banach=_evaluate(inverse_banach, epsilon),
-            inverse_hilbert=_evaluate(inverse_hilbert, epsilon),
-            forward_boundary=bool(np.any(forward_hilbert.values == epsilon)),
-            inverse_boundary=bool(np.any(inverse_hilbert.values == epsilon)),
-        )
-        for epsilon in epsilons
+    prepared = (
+        _prepare(BANACH_DUAL, state, image),  # forward, banach
+        _prepare(RAO_FORWARD, state),  # forward, hilbert
+        _prepare(BANACH_MAHALANOBIS, state),  # inverse, banach
+        _prepare(RAO_INVERSE, state),  # inverse, hilbert
+    )
+    grid = np.asarray(epsilons, dtype=float)
+    # a hilbert value equal to epsilon, where > and >= part, splits the two searches
+    boundaries = [
+        (np.searchsorted(p.values, grid) != np.searchsorted(p.values, grid, side="right")).tolist()
+        for p in prepared[1::2]
     ]
+    reports = [_reports(p, epsilons) for p in prepared]
+    return [EquivalenceResult(*fields) for fields in zip(*reports, *boundaries)]

@@ -157,10 +157,26 @@ class DiscreteMeasure:
         return cls(space, data["atoms"], data["weights"], data["role"])
 
 
+def _measure_json(measure: DiscreteMeasure):
+    """Yield the text of json.dumps(measure.to_dict(), indent=2) and a newline.
+
+    json's indenting encoder is pure Python.  Atoms and weights are finite
+    floats, whose JSON text is their repr, so they are joined into the
+    indented layout directly, one atom at a time to keep the peak low.
+    """
+    data = measure.to_dict()
+    yield json.dumps({key: data[key] for key in ("dim", "p", "role")}, indent=2)[:-2]
+    separator = ',\n  "atoms": [\n    [\n      '
+    for atom in data["atoms"]:
+        yield separator + ",\n      ".join(map(repr, atom))
+        separator = "\n    ],\n    [\n      "
+    yield '\n    ]\n  ],\n  "weights": [\n    ' + ",\n    ".join(map(repr, data["weights"]))
+    yield "\n  ]\n}\n"
+
+
 def save_measure(measure: DiscreteMeasure, path) -> None:
     with open(path, "w") as fh:
-        json.dump(measure.to_dict(), fh, indent=2)
-        fh.write("\n")
+        fh.writelines(_measure_json(measure))
 
 
 def load_measure(path) -> DiscreteMeasure:

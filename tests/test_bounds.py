@@ -1,5 +1,10 @@
+import bisect
+import csv
+import io
 import json
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,13 +32,19 @@ from tailbounds.bounds import (
     EXACT_ENUMERATION,
     INEQUALITIES,
     MONTE_CARLO,
-    _mc_grid,
+    REPORT_FIELDS,
+    _evaluate_grid,
+    _MeasureState,
+    _mc_prepare,
+    _prepare,
     report_to_row,
     rows_from_csv,
     rows_to_csv,
     rows_to_json,
     sort_rows,
 )
+from tailbounds.cli import SKIP_NEEDS_DIM1, SKIP_NOT_CENTERED, SKIP_NOT_PD, _skip_row
+from tailbounds.covop import _quadratic_values
 from tailbounds.errors import (
     ApplicabilityError,
     CenteringError,
@@ -42,9 +53,9 @@ from tailbounds.errors import (
     ShapeError,
 )
 from tailbounds.measure import GAUSSIAN, SYMMETRIC_ATOMS, UNIFORM_BALL, mean
-from tailbounds.space import p_norm_rows
+from tailbounds.space import ROLE_DUAL, p_norm_rows
 
-from conftest import random_measure
+from conftest import EXPONENTS, random_measure
 
 
 def signs_measure(dim: int, p: float = 2.0, role: str = "primal") -> DiscreteMeasure:
@@ -388,14 +399,14 @@ def test_mc_grid_matches_the_per_epsilon_count(n_draws):
     # the formula each Monte Carlo report was computed with before the
     # reports came from the sorted statistic's tail sums
     for sampler, statistic, operator, values, scale, power, epsilons in _mc_cases(n_draws):
-        reports = _mc_grid(sampler, statistic, operator, epsilons, n_draws)
-        for report, epsilon in zip(reports, epsilons, strict=True):
+        rows = _evaluate_grid(_mc_prepare(sampler, statistic, operator, n_draws), epsilons)
+        for row, epsilon in zip(rows, epsilons, strict=True):
             lhs = float(np.count_nonzero(values >= epsilon)) / n_draws
             half_width = 3.0 * math.sqrt(lhs * (1.0 - lhs) / n_draws)
             rhs = scale / epsilon**power
             holds = lhs <= rhs + half_width + 1e-12
-            assert report.method == MONTE_CARLO
-            assert (report.lhs, report.ci_halfwidth, report.rhs, report.holds) == (
+            assert row["method"] == MONTE_CARLO
+            assert (row["lhs"], row["ci_halfwidth"], row["rhs"], row["holds"]) == (
                 lhs, half_width, rhs, holds
             ), (statistic, n_draws, epsilon)
 
@@ -522,3 +533,120 @@ def test_exact_lhs_is_fsum_of_the_tail_weights():
             assert report.lhs == math.fsum(measure.weights[tail].tolist()), (name, report.epsilon)
         # an atom sits on each of these epsilons, where > and >= differ
         assert all(np.any(values == eps) for eps in on_atoms)
+
+
+def _acceptance_cases(seed: int, per_exponent: int):
+    """(name, prepared, measure, pstar) on criterion 5's kind of random measure."""
+    rng = np.random.default_rng(seed)
+    for p in EXPONENTS:
+        for _ in range(per_exponent):
+            measure = random_measure(rng, p=p, centered=True, definite=True)
+            names = ["banach_dual", "banach_mahalanobis"]
+            if p == 2.0:
+                names += ["euclidean", "grenander", "chen", "rao_forward", "rao_inverse"]
+            if measure.space.dim == 1:
+                names.append("scalar")
+            state, pstar = _MeasureState(measure), replace(measure, role=ROLE_DUAL)
+            for name in names:
+                yield name, _prepare(name, state, pstar), measure, pstar
+
+
+def _edge_epsilons(values: list) -> list:
+    """Epsilons on atom values, below every value and above every value."""
+    on = values[:: max(1, len(values) // 6)] + values[-1:]
+    return sorted({values[0] / 2.0, *on, 2.0 * values[-1] + 1.0})
+
+
+def _squares_that_differ(rng, count: int) -> list:
+    # epsilons whose numpy square and Python square differ on this platform's libm
+    # (there may be none: then the two agree and the RHS check holds trivially)
+    candidates = rng.uniform(0.01, 100.0, 20_000)
+    differ = candidates[(candidates**2) != np.array([c**2 for c in candidates.tolist()])]
+    return differ[:count].tolist()
+
+
+def test_grid_rows_match_independent_formulas():
+    rng = np.random.default_rng(1005)
+    odd_squares = _squares_that_differ(rng, 8)
+    strictness = set()
+    for name, prepared, _, _ in _acceptance_cases(1005, 12):
+        values = prepared.values.tolist()
+        assert prepared.strict == name.startswith("rao_")
+        strictness.add(prepared.strict)
+        epsilons = _edge_epsilons(values)
+        if prepared.power == 2:
+            epsilons = sorted(set(epsilons + odd_squares))
+        rows = _evaluate_grid(prepared, epsilons)
+        assert [row["epsilon"] for row in rows] == epsilons
+        for row, epsilon in zip(rows, epsilons, strict=True):
+            cut = bisect.bisect_right if prepared.strict else bisect.bisect_left
+            lhs = math.fsum(prepared.tails[:, cut(values, epsilon)].tolist())
+            rhs = prepared.scale / epsilon**prepared.power
+            expected = dict(
+                inequality=name, epsilon=epsilon, lhs=lhs, ci_halfwidth=0.0, rhs=rhs,
+                holds=lhs <= rhs + 1e-12, slack=rhs - lhs, method=EXACT_ENUMERATION,
+            )
+            assert row == expected, (name, epsilon)
+            assert list(row) == list(REPORT_FIELDS)
+        # below every value the tail is everything, above every value it is empty
+        assert rows[0]["lhs"] == math.fsum(prepared.tails[:, 0].tolist())
+        assert rows[-1]["lhs"] == 0.0
+    assert strictness == {False, True}
+
+
+def _per_atom_statistic(name: str, measure, pstar) -> tuple:
+    """(values, weights) of a statistic, one per atom, in the measure's own order."""
+    operator = build(measure)
+    if name in ("scalar", "euclidean"):
+        return p_norm_rows(measure.atoms - mean(measure), 2.0), measure.weights
+    if name == "grenander":
+        return p_norm_rows(measure.atoms, 2.0), measure.weights
+    if name == "rao_forward":
+        return _quadratic_values(measure.atoms, operator.matrix), measure.weights
+    if name == "banach_dual":
+        return _quadratic_values(pstar.atoms, operator.matrix), pstar.weights
+    return mahalanobis(invert(operator), measure.atoms), measure.weights
+
+
+def test_exact_lhs_is_the_fraction_sum_of_the_tail_weights():
+    for name, prepared, measure, pstar in _acceptance_cases(1009, 6):
+        values, weights = _per_atom_statistic(name, measure, pstar)
+        assert np.array_equal(np.sort(values), prepared.values), name
+        epsilons = _edge_epsilons(prepared.values.tolist())
+        for row in _evaluate_grid(prepared, epsilons):
+            epsilon = row["epsilon"]
+            tail = values > epsilon if prepared.strict else values >= epsilon
+            exact = sum((Fraction(w) for w in weights[tail].tolist()), Fraction(0))
+            assert row["lhs"] == float(exact), (name, epsilon)
+
+
+def _format_cell(value) -> str:
+    # the cell rules rows_to_csv followed when it wrote through csv.writer
+    if value is None:
+        return "nan"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def test_rows_to_csv_matches_csv_writer_rows():
+    extremes = (-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308,
+                -1e-300, 0.1, 1.0 / 3.0, 1e16, 123456789.0, math.inf, -math.inf)
+    rows = [
+        dict(zip(REPORT_FIELDS, ("grenander", abs(v) or 1.0, v, abs(v), v, holds, -v, method)))
+        for v in extremes
+        for holds, method in ((True, EXACT_ENUMERATION), (False, MONTE_CARLO))
+    ]
+    rows += [_skip_row(name, eps, reason) for name, reason in (
+        ("chen", SKIP_NOT_CENTERED), ("rao_inverse", SKIP_NOT_PD), ("scalar", SKIP_NEEDS_DIM1),
+    ) for eps in (0.5, 1e-300)]
+    rows += [report_to_row(r) for r in sweep("euclidean", signs_measure(2), [0.4, 1.0, 3.0])]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(REPORT_FIELDS)
+    for row in rows:
+        writer.writerow([_format_cell(row[name]) for name in REPORT_FIELDS])
+    assert rows_to_csv(rows) == buffer.getvalue()
+    assert rows_to_csv([]) == ",".join(REPORT_FIELDS) + "\n"

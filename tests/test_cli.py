@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -508,6 +512,25 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "--input" in err
+
+
+def test_repeated_main_calls_match_fresh_processes(signs_path, capsys):
+    # one process builds the parser once and parses every later call with it
+    calls = [
+        (0, ("verify", "--input", signs_path, "--epsilon", "1.5", "--format", "csv")),
+        (0, ("verify", "--input", signs_path, "--grid", "0.5:2:4,lin")),
+        (1, ("verify", "--input", signs_path, "--grid", "2:1:3,lin")),  # a usage error
+    ]
+    src = str(Path(tailbounds.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for expected, argv in calls:
+        in_process = run(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "tailbounds", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert in_process == (expected, fresh.stdout, fresh.stderr), argv
+        assert fresh.returncode == expected, argv
 
 
 def test_flags_a_command_would_ignore_are_usage_errors(signs_path, sampler_path, tmp_path, capsys):

@@ -23,6 +23,7 @@ from tailbounds.measure import (
     SYMMETRIC_ATOMS,
     UNIFORM_BALL,
     _exact_sum,
+    _measure_json,
     _sorted_tails,
     grid_indices,
     load_sampler,
@@ -81,6 +82,27 @@ def test_json_round_trip(tmp_path):
     assert back.role == "dual"
     assert np.array_equal(back.atoms, m.atoms)
     assert np.array_equal(back.weights, m.weights)
+
+
+@pytest.mark.parametrize(
+    "space, atoms, weights, role",
+    [
+        # -0.0, the smallest subnormal, a huge and an integral float, as atoms and weights
+        (PNormSpace(3, 2.0), [[-0.0, 5e-324, 1e308], [3.0, -2.0, 0.1]], [5e-324, 1.0], "primal"),
+        (PNormSpace(2, 1.5), [[1.0, -0.0], [0.0, 2.5]], [-0.0, 1.0], "dual"),
+        (PNormSpace(1, math.inf), [[-7.0]], [1.0], "primal"),  # one atom, p written "inf"
+        (PNormSpace(4, 3.0), np.random.default_rng(5).standard_normal((50, 4)), [0.02] * 50,
+         "primal"),
+    ],
+    ids=["extreme-floats", "dual-zero-weight", "one-atom-p-inf", "random-50x4"],
+)
+def test_measure_json_is_the_indenting_encoder_text(tmp_path, space, atoms, weights, role):
+    measure = DiscreteMeasure(space, atoms, weights, role)
+    expected = json.dumps(measure.to_dict(), indent=2) + "\n"
+    assert "".join(_measure_json(measure)) == expected
+    path = tmp_path / "m.json"
+    save_measure(measure, path)
+    assert path.read_text() == expected
 
 
 def test_from_dict_names_missing_fields():
