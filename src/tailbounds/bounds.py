@@ -181,7 +181,13 @@ def _evaluate_grid(prepared: _Prepared, epsilons) -> list[dict]:
     side = "right" if prepared.strict else "left"
     lhs = _rounded(prepared.tails[:, np.searchsorted(prepared.values, grid, side=side)])
     epsilons = grid.tolist()
-    rhs = np.array([prepared.scale / epsilon**prepared.power for epsilon in epsilons])
+    try:
+        rhs = np.array([prepared.scale / epsilon**prepared.power for epsilon in epsilons])
+    except (ZeroDivisionError, OverflowError):  # eps**power left the float range
+        raise ValueError(
+            f"epsilon**{prepared.power} leaves the float range for an epsilon "
+            f"in [{epsilons[0]!r}, {epsilons[-1]!r}]"
+        ) from None
     method, half_width = EXACT_ENUMERATION, np.zeros(len(epsilons))
     if prepared.draws:
         lhs /= prepared.draws
@@ -220,7 +226,8 @@ def _require_centered(state: _MeasureState, inequality: str) -> None:
 
 
 class _MeasureState:
-    """A measure with its mean, operator, inverse and per-atom Mahalanobis statistic.
+    """A measure with its mean, atom norms, second moment, operator, inverse and
+    per-atom Mahalanobis statistic.
 
     Each is computed on first use (a failed inversion too, whose error is
     raised again) and shared by every inequality and epsilon evaluated on it.
@@ -234,8 +241,27 @@ class _MeasureState:
         return mean(self.measure)
 
     @cached_property
+    def norms(self) -> np.ndarray:
+        return self.measure.atom_norms()
+
+    @cached_property
+    def second_moment(self) -> float:
+        return second_moment(self.measure, self.norms)
+
+    def moment_of(self, other: DiscreteMeasure) -> float:
+        """second_moment(other), taken from this measure when both have the
+        same atom and weight arrays and exponent (a measure re-tagged as dual)."""
+        measure = self.measure
+        same = (
+            other.atoms is measure.atoms
+            and other.weights is measure.weights
+            and other.exponent == measure.exponent
+        )
+        return self.second_moment if same else second_moment(other)
+
+    @cached_property
     def operator(self) -> CovarianceOperator:
-        return build(self.measure)
+        return build(self.measure, self.second_moment)
 
     @cached_property
     def _inversion(self) -> InverseOperator | NotPositiveDefiniteError:
@@ -280,9 +306,9 @@ def _prepare_euclidean(state: _MeasureState) -> _Prepared:
 
 
 def _prepare_grenander(state: _MeasureState) -> _Prepared:
-    measure = state.measure
-    sorted_tails = _sorted_tails(p_norm_rows(measure.atoms, 2.0), measure.weights)
-    return _Prepared(GRENANDER, *sorted_tails, False, second_moment(measure), 2, {})
+    # at p = 2 the exponent is 2 in either role
+    sorted_tails = _sorted_tails(state.norms, state.measure.weights)
+    return _Prepared(GRENANDER, *sorted_tails, False, state.second_moment, 2, {})
 
 
 def _prepare_chen(state: _MeasureState) -> _Prepared:
@@ -307,7 +333,9 @@ def _prepare_rao_inverse(state: _MeasureState) -> _Prepared:
     )
 
 
-def _prepare_banach_dual(operator: CovarianceOperator, pstar: DiscreteMeasure) -> _Prepared:
+def _prepare_banach_dual(
+    operator: CovarianceOperator, pstar: DiscreteMeasure, dual_moment: float
+) -> _Prepared:
     if pstar.role != ROLE_DUAL:
         raise RoleError("banach_dual needs a dual-role measure of functionals")
     if pstar.space != operator.space:
@@ -315,7 +343,6 @@ def _prepare_banach_dual(operator: CovarianceOperator, pstar: DiscreteMeasure) -
             f"dual measure lives on {pstar.space}, operator on {operator.space}"
         )
     values = _quadratic_values(pstar.atoms, operator.matrix)
-    dual_moment = second_moment(pstar)
     scale = dual_moment * operator.second_moment
     sorted_tails = _sorted_tails(values, pstar.weights)
     return _Prepared(BANACH_DUAL, *sorted_tails, False, scale, 1, {})
@@ -370,7 +397,7 @@ def banach_dual_bound(
 
     pstar is a measure over functionals (dual role) on the operator's space.
     """
-    return _reports(_prepare_banach_dual(operator, pstar), [epsilon])[0]
+    return _reports(_prepare_banach_dual(operator, pstar, second_moment(pstar)), [epsilon])[0]
 
 
 def banach_mahalanobis_bound(measure: DiscreteMeasure, epsilon: float) -> BoundReport:
@@ -390,7 +417,7 @@ def _prepare(inequality: str, state: _MeasureState, pstar=None) -> _Prepared:
     if inequality == BANACH_DUAL:
         if pstar is None:
             raise ValueError("banach_dual needs a dual measure (pstar)")
-        return _prepare_banach_dual(state.operator, pstar)
+        return _prepare_banach_dual(state.operator, pstar, state.moment_of(pstar))
     preparers = {
         SCALAR: _prepare_scalar,
         EUCLIDEAN: _prepare_euclidean,
@@ -534,4 +561,12 @@ def rows_from_csv(text: str) -> list[dict]:
 
 
 def rows_to_json(rows) -> str:
-    return json.dumps(list(rows), indent=2) + "\n"
+    """The text of json.dumps(list(rows), indent=2) and a newline.
+
+    The indenting encoder is pure Python.  A report row is a flat, non-empty
+    dict, so the C encoder writes its indented body through the separators.
+    """
+    texts = [json.dumps(row, separators=(",\n    ", ": "))[1:-1] for row in rows]
+    if not texts:
+        return "[]\n"
+    return "[\n  {\n    " + "\n  },\n  {\n    ".join(texts) + "\n  }\n]\n"

@@ -129,12 +129,16 @@ class InverseOperator:
     norm_interval: NormInterval
 
 
-def build(measure: DiscreteMeasure) -> CovarianceOperator:
-    """Second-moment operator M = sum_i w_i x_i x_i^T of a primal measure."""
+def build(measure: DiscreteMeasure, moment: float | None = None) -> CovarianceOperator:
+    """Second-moment operator M = sum_i w_i x_i x_i^T of a primal measure.
+
+    `moment` is the measure's second_moment when the caller already has it.
+    """
     if measure.role != ROLE_PRIMAL:
         raise RoleError("the second-moment operator is built from a primal measure")
     matrix = accumulate_outer(measure.atoms, measure.atoms, measure.weights)
-    return CovarianceOperator(matrix, measure.space, second_moment(measure))
+    moment = second_moment(measure) if moment is None else moment
+    return CovarianceOperator(matrix, measure.space, moment)
 
 
 def apply(operator: CovarianceOperator, f) -> np.ndarray:

@@ -26,6 +26,7 @@ SYMMETRIC_ATOMS = "symmetric-atoms"
 FAMILIES = (GAUSSIAN, UNIFORM_BALL, SYMMETRIC_ATOMS)
 
 _UINT64_MASK = (1 << 64) - 1
+_CHUNK_DRAWS = 256  # draws made per pass of a fixed-budget stream
 
 
 def _slices(terms: np.ndarray):
@@ -184,9 +185,13 @@ def load_measure(path) -> DiscreteMeasure:
         return DiscreteMeasure.from_dict(json.load(fh))
 
 
-def second_moment(measure: DiscreteMeasure) -> float:
-    """Weighted mean of the squared atom norms (role-appropriate exponent)."""
-    return _exact_sum(measure.weights * measure.atom_norms() ** 2)
+def second_moment(measure: DiscreteMeasure, norms: np.ndarray | None = None) -> float:
+    """Weighted mean of the squared atom norms (role-appropriate exponent).
+
+    `norms` are the measure's atom_norms() when the caller already has them.
+    """
+    norms = measure.atom_norms() if norms is None else norms
+    return _exact_sum(measure.weights * norms**2)
 
 
 def mean(measure: DiscreteMeasure) -> np.ndarray:
@@ -238,6 +243,14 @@ class Sampler:
                          from Gamma(1/p) magnitudes and an Exp(1) pad; p = inf
                          is coordinatewise uniform),
       * symmetric-atoms: uniform over {+-a_1, ..., +-a_k}.
+
+    Gaussian and p = inf uniform-ball draws take a fixed budget of W words,
+    rounded up to whole 4-word counters, from one Philox stream keyed by
+    the seed: draw i owns counters [i W/4, (i+1) W/4).  A gaussian draw
+    turns each pair of words into two normals by Box-Muller (so |z| stays
+    below sqrt(106 ln 2), about 8.57), a p = inf ball draw takes one word
+    per coordinate.  The other families need rejection, so draw i runs
+    numpy's Generator on its own Philox key [seed, i].
     """
 
     space: PNormSpace
@@ -257,8 +270,8 @@ class Sampler:
             if m.shape != (d,):
                 raise ShapeError(f"mean must be ({d},), got {m.shape}")
             f = np.eye(d) if self.cov_factor is None else np.asarray(self.cov_factor, dtype=float)
-            if f.ndim != 2 or f.shape[0] != d:
-                raise ShapeError(f"cov_factor must have {d} rows, got {f.shape}")
+            if f.ndim != 2 or f.shape[0] != d or f.shape[1] < 1:
+                raise ShapeError(f"cov_factor must be ({d}, k) with k >= 1, got {f.shape}")
             object.__setattr__(self, "mean", m)
             object.__setattr__(self, "cov_factor", f)
         elif self.family == UNIFORM_BALL:
@@ -272,6 +285,17 @@ class Sampler:
                 raise ShapeError(f"atoms must be (k, {d}) with k >= 1, got {a.shape}")
             object.__setattr__(self, "atoms", a)
 
+    @property
+    def _word_budget(self) -> int:
+        """Philox words per draw, in whole counters of 4; 0 for a per-index family."""
+        if self.family == GAUSSIAN:  # one pair of words per pair of normals
+            words = 2 * -(-self.cov_factor.shape[1] // 2)
+        elif self.family == UNIFORM_BALL and self.space.p == math.inf:
+            words = self.space.dim
+        else:
+            return 0
+        return 4 * -(-words // 4)
+
     def draw(self, index: int) -> np.ndarray:
         return self.draw_block(index, 1)[0]
 
@@ -280,27 +304,65 @@ class Sampler:
             raise ValueError(f"draw index must be nonnegative, got {start}")
         if count < 1:
             raise ValueError(f"count must be positive, got {count}")
-        # Philox(0) fetches no OS entropy; each draw gets key [seed, index] and
-        # the fresh counter and buffer that Philox(key=...) would start from
-        bits = np.random.Philox(0)
-        gen, state = np.random.Generator(bits), bits.state
         draws = np.empty((count, self.space.dim))
+        seed = self.seed & _UINT64_MASK
+        # Philox(0) fetches no OS entropy; a key set through its state starts
+        # from the fresh counter and buffer that Philox(key=...) would
+        bits = np.random.Philox(0)
+        state = bits.state
+        budget = self._word_budget
+        if budget:
+            state["state"]["key"] = np.array([seed, 0], dtype=np.uint64)
+            bits.state = state
+            bits.advance(start * budget // 4)
+            for lo in range(0, count, _CHUNK_DRAWS):  # chunks keep the temporaries small
+                chunk = draws[lo : lo + _CHUNK_DRAWS]
+                self._from_words(bits.random_raw((len(chunk), budget)), chunk)
+            return draws
+        gen = np.random.Generator(bits)
         for row, index in enumerate(range(start, start + count)):
-            key = [self.seed & _UINT64_MASK, index & _UINT64_MASK]
-            state["state"]["key"] = np.array(key, dtype=np.uint64)
+            state["state"]["key"] = np.array([seed, index & _UINT64_MASK], dtype=np.uint64)
             bits.state = state
             draws[row] = self._draw_with(gen)
         return draws
 
+    def _from_words(self, words: np.ndarray, out: np.ndarray) -> None:
+        """Write into `out` the draws made from the rows of `words`, one row per draw.
+
+        A word w stands for u = (w >> 11) * 2**-53, uniform on [0, 1).  Every
+        output element goes through the same elementwise operations whatever
+        the number of rows, so a draw's bits do not depend on its block.
+        """
+        if self.family == UNIFORM_BALL:  # radius * (2u - 1), coordinatewise
+            np.multiply((words[:, : self.space.dim] >> 11) * 2.0**-52 - 1.0, self.radius, out=out)
+            return
+        k = self.cov_factor.shape[1]
+        rows = np.ascontiguousarray(words.T[: k + k % 2])  # row j: word j of every draw
+        rows >>= 11
+        # Box-Muller on word pairs (u1, u2), with u1 + 2**-53 in (0, 1] so the log is finite
+        length = (rows[0::2] + 1) * 2.0**-53
+        np.log(length, out=length)
+        length *= -2.0
+        np.sqrt(length, out=length)
+        angle = rows[1::2] * (2.0 * math.pi * 2.0**-53)
+        cos = np.cos(angle)
+        cos *= length
+        sin = np.sin(angle, out=angle)
+        sin *= length
+        # mean + cov_factor @ z, summed over the columns of cov_factor in order
+        total = self.cov_factor[:, :1] * cos[0]
+        term = np.empty_like(total)
+        for j in range(1, k):
+            np.multiply(self.cov_factor[:, j : j + 1], (sin if j % 2 else cos)[j // 2], out=term)
+            total += term
+        np.add(total.T, self.mean, out=out)
+
     def _draw_with(self, gen: np.random.Generator) -> np.ndarray:
+        """One draw of a per-index family from its own generator."""
         d = self.space.dim
-        if self.family == GAUSSIAN:
-            return self.mean + self.cov_factor @ gen.standard_normal(self.cov_factor.shape[1])
         if self.family == UNIFORM_BALL:
-            p = self.space.p
-            if p == math.inf:
-                return self.radius * gen.uniform(-1.0, 1.0, d)
             # |g_i|^p ~ Gamma(1/p); (g, pad) normalized lands uniformly in the ball
+            p = self.space.p
             magnitudes = gen.gamma(1.0 / p, 1.0, d)
             signs = 2.0 * gen.integers(0, 2, d) - 1.0
             pad = gen.standard_exponential()

@@ -650,3 +650,34 @@ def test_rows_to_csv_matches_csv_writer_rows():
         writer.writerow([_format_cell(row[name]) for name in REPORT_FIELDS])
     assert rows_to_csv(rows) == buffer.getvalue()
     assert rows_to_csv([]) == ",".join(REPORT_FIELDS) + "\n"
+
+
+def test_rows_to_json_matches_the_indenting_encoder():
+    values = (-0.0, 0.0, 5e-324, 1e308, 1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e16,
+              math.inf, -math.inf)
+    rows = [
+        dict(zip(REPORT_FIELDS, ("grenander", abs(v) or 1.0, v, abs(v), v, holds, -v, method)))
+        for v in values
+        for holds, method in ((True, EXACT_ENUMERATION), (False, MONTE_CARLO))
+    ]
+    rows += [_skip_row(name, eps, reason) for name, reason in (
+        ("chen", SKIP_NOT_CENTERED), ("rao_inverse", SKIP_NOT_PD), ("scalar", SKIP_NEEDS_DIM1),
+    ) for eps in (0.5, 1e-300)]
+    rows.append(dict(rows[0], inequality='a "quoted" \\ name\n\té', method="≤"))
+    rows += [report_to_row(r) for r in sweep("euclidean", signs_measure(2), [0.4, 1.0, 3.0])]
+    for chosen in (rows, rows[:1], []):
+        assert rows_to_json(chosen) == json.dumps(chosen, indent=2) + "\n"
+    assert rows_to_json(iter(rows)) == json.dumps(rows, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("epsilon", [1e-200, 1e200])
+def test_epsilon_whose_power_leaves_the_float_range_is_a_value_error(epsilon):
+    # eps**2 underflows to 0 or overflows; a grid point inside the range passes
+    with pytest.raises(ValueError, match=r"epsilon\*\*2 leaves the float range"):
+        sweep("grenander", signs_measure(2), [epsilon])
+    with pytest.raises(ValueError, match=r"epsilon\*\*2 leaves the float range"):
+        sweep("euclidean", signs_measure(2), sorted([1.0, epsilon]))
+    with pytest.raises(ValueError, match=r"epsilon\*\*2 leaves the float range"):
+        grenander(signs_measure(2), epsilon)
+    # power 1 holds them
+    assert chen(signs_measure(2), epsilon).rhs == 2.0 / epsilon

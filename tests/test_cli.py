@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -24,6 +25,11 @@ from tailbounds.cli import UsageError, _finish_rows, main, parse_grid
 from tailbounds.covop import save_operator
 from tailbounds.errors import ShapeError
 from tailbounds.measure import GAUSSIAN
+
+
+# stdout digests of the two runs in test_golden_output_digests
+MC_GAUSSIAN_SHA256 = "69b8ad34cf517dc304958516bd981e7860524de2619e3943d25988ad4491fc65"
+QUANTIZE_BALL3_SHA256 = "682e13199212d2cd53a32c744963d8659b84c17e99bd16b69d0d177af0b972ae"
 
 
 def signs_measure(dim: int = 2, p: float = 2.0) -> DiscreteMeasure:
@@ -550,3 +556,43 @@ def test_flags_a_command_would_ignore_are_usage_errors(signs_path, sampler_path,
     )
     assert (code, out) == (1, "")
     assert "--operator" in err
+
+
+@pytest.mark.parametrize("epsilon", ["1e-200", "1e200"])
+def test_epsilon_whose_power_leaves_the_float_range_exits_1(signs_path, capsys, epsilon):
+    code, out, err = run(capsys, "verify", "--input", signs_path, "--epsilon", epsilon)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: epsilon**2 leaves the float range") and err.count("\n") == 1
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_output_digests(tmp_path, capsys):
+    """Pinned stdout of one gaussian `mc` run and one uniform-ball `quantize` run.
+
+    The gaussian draws come from the fixed-budget Philox stream (Box-Muller)
+    and the p = 3 ball draws from the per-index stream, so a change to either
+    stream changes a digest here and has to be declared as an output change.
+    """
+    gaussian = tmp_path / "gaussian.json"
+    gaussian.write_text(json.dumps({
+        "dim": 3, "p": 2.0, "family": "gaussian", "seed": 0,
+        "mean": [0.5, -0.25, 0.0], "cov_factor": [[1.0, 0.0], [0.5, 2.0], [-1.0, 0.25]],
+    }))
+    code, out, err = run(
+        capsys, "mc", "--input", str(gaussian), "--statistic", "norm",
+        "--grid", "0.5:4:6,log", "--draws", "400", "--seed", "3", "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    assert _digest(out) == MC_GAUSSIAN_SHA256
+
+    ball = tmp_path / "ball.json"
+    ball.write_text(json.dumps({"dim": 2, "p": 3.0, "family": "uniform-ball", "radius": 1.5}))
+    code, out, err = run(
+        capsys, "quantize", "--input", str(ball), "--samples", "200", "--resolution", "0.05",
+        "--seed", "4",
+    )
+    assert code == 0
+    assert _digest(out) == QUANTIZE_BALL3_SHA256

@@ -379,6 +379,8 @@ def test_sampler_validation():
             mean=np.zeros(3),
             cov_factor=np.eye(3),
         )
+    with pytest.raises(ShapeError, match="k >= 1"):
+        Sampler(space=space, family=GAUSSIAN, seed=0, cov_factor=np.zeros((2, 0)))
 
 
 def test_sampler_json_round_trip(tmp_path):
@@ -451,25 +453,47 @@ def test_exact_sum_rejects_terms_it_cannot_hold():
             _exact_sum(np.array(terms))
 
 
-def _old_draw(sampler: Sampler, index: int) -> np.ndarray:
-    """A draw from its own Philox(key=[seed, index]), as each draw was once made."""
+def _per_index_draw(sampler: Sampler, index: int) -> np.ndarray:
+    """A per-index draw from its own Philox(key=[seed, index])."""
     key = np.array([sampler.seed, index], dtype=np.uint64)
     return sampler._draw_with(np.random.Generator(np.random.Philox(key=key)))
 
 
+def _stream_words(sampler: Sampler, index: int) -> np.ndarray:
+    """The W words of draw `index` of a fixed-budget stream: counters
+    [index W/4, (index + 1) W/4) of Philox keyed by the seed."""
+    budget = sampler._word_budget
+    bits = np.random.Philox(key=sampler.seed)
+    bits.advance(index * budget // 4)
+    return bits.random_raw(budget)
+
+
+def _stream_draw(sampler: Sampler, index: int) -> np.ndarray:
+    """Draw `index` made by the sampler's own transform from the oracle's words."""
+    out = np.empty((1, sampler.space.dim))
+    sampler._from_words(_stream_words(sampler, index)[None, :], out)
+    return out[0]
+
+
 @pytest.mark.parametrize(
-    "sampler",
+    "sampler, oracle",
     [
-        Sampler(PNormSpace(3, 2.0), GAUSSIAN, seed=21, cov_factor=np.arange(9.0).reshape(3, 3)),
-        Sampler(PNormSpace(3, 1.5), UNIFORM_BALL, seed=22),
-        Sampler(PNormSpace(3, 2.0), UNIFORM_BALL, seed=23, radius=2.0),
-        Sampler(PNormSpace(3, math.inf), UNIFORM_BALL, seed=24),
-        Sampler(PNormSpace(2, 2.0), SYMMETRIC_ATOMS, seed=25, atoms=[[1.0, 2.0], [3.0, -4.0]]),
+        (
+            Sampler(PNormSpace(3, 2.0), GAUSSIAN, seed=21, cov_factor=np.arange(9.0).reshape(3, 3)),
+            _stream_draw,
+        ),
+        (Sampler(PNormSpace(3, 1.5), UNIFORM_BALL, seed=22), _per_index_draw),
+        (Sampler(PNormSpace(3, 2.0), UNIFORM_BALL, seed=23, radius=2.0), _per_index_draw),
+        (Sampler(PNormSpace(3, math.inf), UNIFORM_BALL, seed=24), _stream_draw),
+        (
+            Sampler(PNormSpace(2, 2.0), SYMMETRIC_ATOMS, seed=25, atoms=[[1.0, 2.0], [3.0, -4.0]]),
+            _per_index_draw,
+        ),
     ],
     ids=["gaussian", "ball-1.5", "ball-2", "ball-inf", "symmetric-atoms"],
 )
-def test_draw_block_keeps_the_per_draw_philox_stream(sampler, monkeypatch):
-    expected = np.stack([_old_draw(sampler, i) for i in range(7, 207)])
+def test_draw_block_keeps_the_per_draw_philox_stream(sampler, oracle, monkeypatch):
+    expected = np.stack([oracle(sampler, i) for i in range(7, 207)])
     constructed = []
     original = np.random.Philox
 
@@ -481,3 +505,105 @@ def test_draw_block_keeps_the_per_draw_philox_stream(sampler, monkeypatch):
     block = sampler.draw_block(7, 200)
     assert len(constructed) == 1
     assert np.array_equal(block, expected)
+
+
+def _stream_samplers():
+    rng = np.random.default_rng(61)
+    for dim in (1, 2, 3, 5, 8, 13):
+        for columns in (dim, dim + 1 + dim % 2):  # square, then non-square
+            yield pytest.param(
+                Sampler(
+                    PNormSpace(dim, 2.0), GAUSSIAN, seed=100 + dim,
+                    mean=rng.standard_normal(dim), cov_factor=rng.standard_normal((dim, columns)),
+                ),
+                id=f"gaussian-{dim}x{columns}",
+            )
+    for dim in (1, 3, 4, 6):
+        yield pytest.param(
+            Sampler(PNormSpace(dim, math.inf), UNIFORM_BALL, seed=200 + dim, radius=0.3 * dim),
+            id=f"ball-inf-{dim}",
+        )
+
+
+@pytest.mark.parametrize("sampler", list(_stream_samplers()))
+def test_stream_draws_do_not_depend_on_the_block(sampler):
+    chunk = tailbounds.measure._CHUNK_DRAWS
+    start, count = 37, 3 * chunk + 75
+    block = sampler.draw_block(start, count)
+    assert block.shape == (count, sampler.space.dim)
+    assert np.array_equal(block, np.stack([sampler.draw(i) for i in range(start, start + count)]))
+    for sizes in ([chunk - 1], [chunk], [chunk + 1], [1, 3, 5, chunk + 7, 2 * chunk - 1]):
+        pieces, at = [], start
+        for size in sizes + [count - sum(sizes)]:
+            pieces.append(sampler.draw_block(at, size))
+            at += size
+        assert np.array_equal(np.concatenate(pieces), block), sizes
+
+
+def _box_muller(words: np.ndarray, count: int) -> list:
+    """The first `count` normals of Box-Muller on word pairs, in math-module floats."""
+    normals = []
+    for w1, w2 in zip(*[iter(words.tolist())] * 2):
+        length = math.sqrt(-2.0 * math.log(((w1 >> 11) + 1) * 2.0**-53))
+        angle = 2.0 * math.pi * ((w2 >> 11) * 2.0**-53)
+        normals += [length * math.cos(angle), length * math.sin(angle)]
+    return normals[:count]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 13])
+def test_stream_words_oracle(dim):
+    """Draw i takes the words at counters [i W/4, (i + 1) W/4) of Philox(key=seed)."""
+    indices = [0, 1, 2, 255, 256, 257, 1001, 10**12]
+    budget = 4 * -(-2 * -(-dim // 2) // 4)  # pairs of words, in whole counters
+    standard = Sampler(PNormSpace(dim, 2.0), GAUSSIAN, seed=31)
+    assert standard._word_budget == budget
+    for index in indices:
+        expected = _box_muller(_stream_words(standard, index), dim)
+        draw = standard.draw(index).tolist()
+        assert all(abs(a - b) <= 4 * math.ulp(b) for a, b in zip(draw, expected)), index
+
+    # mean + cov_factor @ z over the columns in order, on the same normals z
+    rng = np.random.default_rng(dim)
+    factor, offset = rng.standard_normal((dim + 2, dim)), rng.standard_normal(dim + 2)
+    mixed = Sampler(PNormSpace(dim + 2, 2.0), GAUSSIAN, seed=31, mean=offset, cov_factor=factor)
+    for index in indices:
+        z = standard.draw(index).tolist()
+        expected = []
+        for row, shift in zip(factor.tolist(), offset.tolist()):
+            total = row[0] * z[0]
+            for coefficient, normal in zip(row[1:], z[1:]):
+                total += coefficient * normal
+            expected.append(total + shift)
+        assert mixed.draw(index).tolist() == expected
+
+    ball = Sampler(PNormSpace(dim, math.inf), UNIFORM_BALL, seed=32, radius=1.7)
+    assert ball._word_budget == 4 * -(-dim // 4)
+    for index in indices:
+        words = _stream_words(ball, index).tolist()[:dim]
+        expected = [1.7 * (2.0 * ((w >> 11) * 2.0**-53) - 1.0) for w in words]
+        assert ball.draw(index).tolist() == expected
+
+
+def _normals(count: int) -> np.ndarray:
+    return Sampler(PNormSpace(2, 2.0), GAUSSIAN, seed=2024).draw_block(0, count // 2).ravel()
+
+
+def test_stream_normals_pass_kolmogorov_smirnov():
+    z = np.sort(_normals(200_000))
+    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z.tolist()])
+    n = len(z)
+    statistic = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+    assert statistic < 1.63 / math.sqrt(n)  # the 1% critical value
+    # the 53-bit u1 bounds every normal by sqrt(-2 log 2**-53), about 8.57
+    assert np.abs(z).max() <= math.sqrt(-2.0 * math.log(2.0**-53))
+
+
+def test_stream_normals_moments():
+    z = _normals(400_000)
+    n = len(z)
+    assert abs(z.mean()) < 4.0 / math.sqrt(n)
+    assert abs(z.var() - 1.0) < 4.0 * math.sqrt(2.0 / n)
+    assert abs((z**3).mean()) < 4.0 * math.sqrt(15.0 / n)
+    assert abs((z**4).mean() - 3.0) < 4.0 * math.sqrt(96.0 / n)
+    cosine, sine = z[0::2], z[1::2]  # the two normals of one word pair
+    assert abs((cosine * sine).mean()) < 4.0 / math.sqrt(n / 2)

@@ -297,3 +297,30 @@ def test_quantize_matches_separately_drawn_outputs(tmp_path, capsys, monkeypatch
     expected_path = tmp_path / "expected.json"
     save_measure(quantize(sampler, 400, 0.05), expected_path)
     assert out_path.read_bytes() == expected_path.read_bytes()
+
+
+def test_verify_all_takes_the_atom_norms_and_moment_once(tmp_path, capsys, monkeypatch):
+    """At p = 2, build, grenander and the default dual sample (the same atoms
+    read as functionals) share one set of atom norms and one second moment."""
+    measure = centered_pairs(3, 2.0)
+    path = tmp_path / "m.json"
+    save_measure(measure, path)
+    original = tailbounds.measure.p_norm_rows
+    norm_rows = []
+
+    def counted(rows, p):
+        norm_rows.append(np.array(rows))
+        return original(rows, p)
+
+    for module in (*MODULES, tailbounds.measure):
+        if getattr(module, "p_norm_rows", None) is original:
+            monkeypatch.setattr(module, "p_norm_rows", counted)
+    code, out, err = run(
+        capsys, "verify", "--input", path, "--inequality", "all", "--grid", GRID,
+        "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    # the shared norms, the Mahalanobis clamp and euclidean's deviations from
+    # the mean (here the atoms, as the mean is zero)
+    assert len(norm_rows) == 3
+    assert all(np.array_equal(rows, measure.atoms) for rows in norm_rows)
