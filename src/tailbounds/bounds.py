@@ -40,7 +40,8 @@ from .errors import (
     ShapeError,
 )
 from .measure import (
-    DiscreteMeasure, Sampler, _exact_sum, _rounded, _sorted_tails, mean, second_moment
+    DiscreteMeasure, Sampler, _exact_sum, _moment_from_norms, _rounded, _sorted_tails, mean,
+    second_moment,
 )
 from .space import ROLE_DUAL, p_norm_rows
 
@@ -246,11 +247,12 @@ class _MeasureState:
 
     @cached_property
     def second_moment(self) -> float:
-        return second_moment(self.measure, self.norms)
+        return _moment_from_norms(self.measure.weights, self.norms)
 
     def moment_of(self, other: DiscreteMeasure) -> float:
-        """second_moment(other), taken from this measure when both have the
-        same atom and weight arrays and exponent (a measure re-tagged as dual)."""
+        """second_moment(other), taken from this measure's norms when both have
+        the same atom and weight arrays and exponent: the measure itself, or
+        the measure re-tagged as dual at p = 2."""
         measure = self.measure
         same = (
             other.atoms is measure.atoms
@@ -261,7 +263,7 @@ class _MeasureState:
 
     @cached_property
     def operator(self) -> CovarianceOperator:
-        return build(self.measure, self.second_moment)
+        return build(self.measure, _moment_of=self.moment_of)
 
     @cached_property
     def _inversion(self) -> InverseOperator | NotPositiveDefiniteError:
@@ -334,8 +336,9 @@ def _prepare_rao_inverse(state: _MeasureState) -> _Prepared:
 
 
 def _prepare_banach_dual(
-    operator: CovarianceOperator, pstar: DiscreteMeasure, dual_moment: float
+    operator: CovarianceOperator, pstar: DiscreteMeasure, moment_of
 ) -> _Prepared:
+    """banach_dual on pstar, whose second moment is moment_of(pstar)."""
     if pstar.role != ROLE_DUAL:
         raise RoleError("banach_dual needs a dual-role measure of functionals")
     if pstar.space != operator.space:
@@ -343,7 +346,7 @@ def _prepare_banach_dual(
             f"dual measure lives on {pstar.space}, operator on {operator.space}"
         )
     values = _quadratic_values(pstar.atoms, operator.matrix)
-    scale = dual_moment * operator.second_moment
+    scale = moment_of(pstar) * operator.second_moment
     sorted_tails = _sorted_tails(values, pstar.weights)
     return _Prepared(BANACH_DUAL, *sorted_tails, False, scale, 1, {})
 
@@ -397,7 +400,7 @@ def banach_dual_bound(
 
     pstar is a measure over functionals (dual role) on the operator's space.
     """
-    return _reports(_prepare_banach_dual(operator, pstar, second_moment(pstar)), [epsilon])[0]
+    return _reports(_prepare_banach_dual(operator, pstar, second_moment), [epsilon])[0]
 
 
 def banach_mahalanobis_bound(measure: DiscreteMeasure, epsilon: float) -> BoundReport:
@@ -417,7 +420,7 @@ def _prepare(inequality: str, state: _MeasureState, pstar=None) -> _Prepared:
     if inequality == BANACH_DUAL:
         if pstar is None:
             raise ValueError("banach_dual needs a dual measure (pstar)")
-        return _prepare_banach_dual(state.operator, pstar, state.moment_of(pstar))
+        return _prepare_banach_dual(state.operator, pstar, state.moment_of)
     preparers = {
         SCALAR: _prepare_scalar,
         EUCLIDEAN: _prepare_euclidean,

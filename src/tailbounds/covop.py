@@ -129,16 +129,16 @@ class InverseOperator:
     norm_interval: NormInterval
 
 
-def build(measure: DiscreteMeasure, moment: float | None = None) -> CovarianceOperator:
+def build(measure: DiscreteMeasure, *, _moment_of=second_moment) -> CovarianceOperator:
     """Second-moment operator M = sum_i w_i x_i x_i^T of a primal measure.
 
-    `moment` is the measure's second_moment when the caller already has it.
+    `_moment_of` is private to the package: a measure state that already
+    holds the second moment passes its own lookup, called after the role check.
     """
     if measure.role != ROLE_PRIMAL:
         raise RoleError("the second-moment operator is built from a primal measure")
     matrix = accumulate_outer(measure.atoms, measure.atoms, measure.weights)
-    moment = second_moment(measure) if moment is None else moment
-    return CovarianceOperator(matrix, measure.space, moment)
+    return CovarianceOperator(matrix, measure.space, _moment_of(measure))
 
 
 def apply(operator: CovarianceOperator, f) -> np.ndarray:

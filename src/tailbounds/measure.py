@@ -185,13 +185,14 @@ def load_measure(path) -> DiscreteMeasure:
         return DiscreteMeasure.from_dict(json.load(fh))
 
 
-def second_moment(measure: DiscreteMeasure, norms: np.ndarray | None = None) -> float:
-    """Weighted mean of the squared atom norms (role-appropriate exponent).
+def second_moment(measure: DiscreteMeasure) -> float:
+    """Weighted mean of the squared atom norms (role-appropriate exponent)."""
+    return _moment_from_norms(measure.weights, measure.atom_norms())
 
-    `norms` are the measure's atom_norms() when the caller already has them.
-    """
-    norms = measure.atom_norms() if norms is None else norms
-    return _exact_sum(measure.weights * norms**2)
+
+def _moment_from_norms(weights: np.ndarray, norms: np.ndarray) -> float:
+    """sum_i w_i norms_i^2, correctly rounded: second_moment from the atom norms."""
+    return _exact_sum(weights * norms**2)
 
 
 def mean(measure: DiscreteMeasure) -> np.ndarray:
@@ -251,6 +252,10 @@ class Sampler:
     below sqrt(106 ln 2), about 8.57), a p = inf ball draw takes one word
     per coordinate.  The other families need rejection, so draw i runs
     numpy's Generator on its own Philox key [seed, i].
+
+    Gaussian draws go through numpy's vectorised float64 log, cos and sin,
+    whose last bits can differ between numpy builds and CPUs; their bits
+    depend on (seed, i) for one numpy build, not across builds.
     """
 
     space: PNormSpace

@@ -189,6 +189,23 @@ def test_banach_dual_examples():
         banach_dual_bound(op, signs_measure(3, role="dual"), 0.5)
 
 
+def test_banach_dual_checks_role_and_space_before_the_moment():
+    # squared norms of 1e200 overflow, so taking the moment first fails differently
+    m = signs_measure(2)
+    op = build(m)
+    huge = [[1e200, 0.0], [-1e200, 0.0]]
+    primal = DiscreteMeasure(PNormSpace(2, 2.0), huge, [0.5, 0.5])
+    with pytest.raises(RoleError):
+        banach_dual_bound(op, primal, 1.0)
+    with pytest.raises(RoleError):
+        sweep("banach_dual", m, [1.0, 2.0], pstar=primal)
+    elsewhere = DiscreteMeasure(PNormSpace(2, 3.0), huge, [0.5, 0.5], role="dual")
+    with pytest.raises(ShapeError):
+        banach_dual_bound(op, elsewhere, 1.0)
+    with pytest.raises(ShapeError):
+        sweep("banach_dual", m, [1.0, 2.0], pstar=elsewhere)
+
+
 def test_banach_mahalanobis_examples():
     r = banach_mahalanobis_bound(signs_measure(2), 2.0)
     assert (r.lhs, r.rhs) == (1.0, 2.0)

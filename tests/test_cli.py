@@ -27,7 +27,8 @@ from tailbounds.errors import ShapeError
 from tailbounds.measure import GAUSSIAN
 
 
-# stdout digests of the two runs in test_golden_output_digests
+# stdout digests of the two runs in test_golden_output_digests; the gaussian
+# one also depends on the numpy build's float64 log, cos and sin (see the test)
 MC_GAUSSIAN_SHA256 = "69b8ad34cf517dc304958516bd981e7860524de2619e3943d25988ad4491fc65"
 QUANTIZE_BALL3_SHA256 = "682e13199212d2cd53a32c744963d8659b84c17e99bd16b69d0d177af0b972ae"
 
@@ -479,6 +480,16 @@ def test_verify_rejects_mismatched_inputs(signs_path, tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err.startswith("error: dual measure lives on PNormSpace(dim=3")
 
+    # a primal-role --dual-input is refused before its moment is taken
+    primal_path = tmp_path / "primal.json"
+    save_measure(DiscreteMeasure(PNormSpace(2, 2.0), [[1e200, 0.0]], [1.0]), primal_path)
+    code, out, err = run(
+        capsys, "verify", "--input", signs_path, "--inequality", "banach_dual",
+        "--epsilon", "1.0", "--dual-input", str(primal_path),
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: banach_dual needs a dual-role measure of functionals\n"
+
     code, out, err = run(capsys, "verify", "--input", str(dual_path), "--epsilon", "1.0")
     assert (code, out, err) == (1, "", "error: verify expects a primal measure as input\n")
 
@@ -575,6 +586,11 @@ def test_golden_output_digests(tmp_path, capsys):
     The gaussian draws come from the fixed-budget Philox stream (Box-Muller)
     and the p = 3 ball draws from the per-index stream, so a change to either
     stream changes a digest here and has to be declared as an output change.
+    The gaussian digest also depends on numpy's vectorised float64 log, cos
+    and sin, whose last bits can differ between numpy builds and CPUs, so it
+    is host-specific: on a new numpy build, check a mismatch against
+    tests/test_measure.py::test_stream_words_oracle before calling it a
+    stream change.
     """
     gaussian = tmp_path / "gaussian.json"
     gaussian.write_text(json.dumps({
