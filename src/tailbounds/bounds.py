@@ -227,8 +227,8 @@ def _require_centered(state: _MeasureState, inequality: str) -> None:
 
 
 class _MeasureState:
-    """A measure with its mean, atom norms, second moment, operator, inverse and
-    per-atom Mahalanobis statistic.
+    """A measure, itself read as functionals, with its mean, atom norms, second
+    moment, operator, inverse and sorted statistics (S x, x) and (S^{-1} x, x).
 
     Each is computed on first use (a failed inversion too, whose error is
     raised again) and shared by every inequality and epsilon evaluated on it.
@@ -249,21 +249,14 @@ class _MeasureState:
     def second_moment(self) -> float:
         return _moment_from_norms(self.measure.weights, self.norms)
 
-    def moment_of(self, other: DiscreteMeasure) -> float:
-        """second_moment(other), taken from this measure's norms when both have
-        the same atom and weight arrays and exponent: the measure itself, or
-        the measure re-tagged as dual at p = 2."""
-        measure = self.measure
-        same = (
-            other.atoms is measure.atoms
-            and other.weights is measure.weights
-            and other.exponent == measure.exponent
-        )
-        return self.second_moment if same else second_moment(other)
+    @cached_property
+    def dual(self) -> DiscreteMeasure:
+        """The atoms and weights read as functionals: the Riesz image at p = 2."""
+        return replace(self.measure, role=ROLE_DUAL)
 
     @cached_property
     def operator(self) -> CovarianceOperator:
-        return build(self.measure, _moment_of=self.moment_of)
+        return build(self.measure, _moment_of=lambda measure: self.second_moment)
 
     @cached_property
     def _inversion(self) -> InverseOperator | NotPositiveDefiniteError:
@@ -277,6 +270,12 @@ class _MeasureState:
         if isinstance(self._inversion, NotPositiveDefiniteError):
             raise self._inversion
         return self._inversion
+
+    @cached_property
+    def quadratic(self) -> tuple[np.ndarray, np.ndarray]:
+        """(S x, x) for every atom x, sorted, with the tail sums of the weights."""
+        values = _quadratic_values(self.measure.atoms, self.operator.matrix)
+        return _sorted_tails(values, self.measure.weights)
 
     @cached_property
     def mahalanobis(self) -> tuple[np.ndarray, np.ndarray]:
@@ -319,10 +318,8 @@ def _prepare_chen(state: _MeasureState) -> _Prepared:
 
 
 def _prepare_rao_forward(state: _MeasureState) -> _Prepared:
-    values = _quadratic_values(state.measure.atoms, state.operator.matrix)
     scale = state.operator.second_moment**2
-    sorted_tails = _sorted_tails(values, state.measure.weights)
-    return _Prepared(RAO_FORWARD, *sorted_tails, True, scale, 1, {})
+    return _Prepared(RAO_FORWARD, *state.quadratic, True, scale, 1, {})
 
 
 def _prepare_rao_inverse(state: _MeasureState) -> _Prepared:
@@ -335,10 +332,8 @@ def _prepare_rao_inverse(state: _MeasureState) -> _Prepared:
     )
 
 
-def _prepare_banach_dual(
-    operator: CovarianceOperator, pstar: DiscreteMeasure, moment_of
-) -> _Prepared:
-    """banach_dual on pstar, whose second moment is moment_of(pstar)."""
+def _prepare_banach_dual(operator: CovarianceOperator, pstar: DiscreteMeasure) -> _Prepared:
+    """banach_dual on an external sample pstar of functionals."""
     if pstar.role != ROLE_DUAL:
         raise RoleError("banach_dual needs a dual-role measure of functionals")
     if pstar.space != operator.space:
@@ -346,9 +341,17 @@ def _prepare_banach_dual(
             f"dual measure lives on {pstar.space}, operator on {operator.space}"
         )
     values = _quadratic_values(pstar.atoms, operator.matrix)
-    scale = moment_of(pstar) * operator.second_moment
+    scale = second_moment(pstar) * operator.second_moment
     sorted_tails = _sorted_tails(values, pstar.weights)
     return _Prepared(BANACH_DUAL, *sorted_tails, False, scale, 1, {})
+
+
+def _prepare_own_dual(state: _MeasureState) -> _Prepared:
+    """banach_dual on state.dual, whose (S f, f) are the atoms' (S x, x) and
+    whose q-norms, at p = 2, are the atoms' p-norms."""
+    operator, space = state.operator, state.measure.space
+    moment = state.second_moment if space.q == space.p else second_moment(state.dual)
+    return _Prepared(BANACH_DUAL, *state.quadratic, False, moment * operator.second_moment, 1, {})
 
 
 def _prepare_banach_mahalanobis(state: _MeasureState) -> _Prepared:
@@ -400,7 +403,7 @@ def banach_dual_bound(
 
     pstar is a measure over functionals (dual role) on the operator's space.
     """
-    return _reports(_prepare_banach_dual(operator, pstar, second_moment), [epsilon])[0]
+    return _reports(_prepare_banach_dual(operator, pstar), [epsilon])[0]
 
 
 def banach_mahalanobis_bound(measure: DiscreteMeasure, epsilon: float) -> BoundReport:
@@ -417,10 +420,8 @@ def _prepare(inequality: str, state: _MeasureState, pstar=None) -> _Prepared:
         _require_hilbert(state.measure, inequality)
     if inequality in CENTERED_ONLY:
         _require_centered(state, inequality)
-    if inequality == BANACH_DUAL:
-        if pstar is None:
-            raise ValueError("banach_dual needs a dual measure (pstar)")
-        return _prepare_banach_dual(state.operator, pstar, state.moment_of)
+    if inequality == BANACH_DUAL and pstar is not None:  # else on state.dual
+        return _prepare_banach_dual(state.operator, pstar)
     preparers = {
         SCALAR: _prepare_scalar,
         EUCLIDEAN: _prepare_euclidean,
@@ -428,6 +429,7 @@ def _prepare(inequality: str, state: _MeasureState, pstar=None) -> _Prepared:
         CHEN: _prepare_chen,
         RAO_FORWARD: _prepare_rao_forward,
         RAO_INVERSE: _prepare_rao_inverse,
+        BANACH_DUAL: _prepare_own_dual,
         BANACH_MAHALANOBIS: _prepare_banach_mahalanobis,
     }
     if inequality not in preparers:
@@ -451,6 +453,8 @@ def sweep(
         raise ValueError("epsilon grid must not be empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("epsilon grid must be strictly ascending")
+    if inequality == BANACH_DUAL and pstar is None:
+        raise ValueError("banach_dual needs a dual measure (pstar)")
     return _reports(_prepare(inequality, _MeasureState(measure), pstar), grid)
 
 

@@ -34,7 +34,7 @@ from .covop import cauchy_estimate, invert, load_operator
 from .errors import CenteringError, NotPositiveDefiniteError, TailboundsError
 from .hilbert import _equivalence_grid, riesz, verify_ST_equals_SH
 from .measure import _measure_json, load_measure, load_sampler, quantize_draws, save_measure
-from .space import ROLE_DUAL, ROLE_PRIMAL, conjugate_exponent, p_norm, p_norm_rows
+from .space import ROLE_PRIMAL, conjugate_exponent, p_norm, p_norm_rows
 
 FORMATS = ("json", "csv")
 DEFAULT_SEED = 0
@@ -144,12 +144,7 @@ def cmd_verify(config: argparse.Namespace) -> int:
         raise UsageError(
             f"--inequality must be 'all' or one of {INEQUALITIES}, got {config.inequality!r}"
         )
-    if config.dual_input:
-        pstar = load_measure(config.dual_input)
-    else:
-        # default functional sample: the same atoms read as functionals
-        pstar = replace(measure, role=ROLE_DUAL)
-
+    pstar = load_measure(config.dual_input) if config.dual_input else None
     state = _MeasureState(measure)
     rows: list = []
     for name in names:
@@ -251,7 +246,7 @@ def cmd_reduce(config: argparse.Namespace) -> int:
         measure, transport, seed=config.seed, operator=state.operator
     )
     # identity gram: the quadratic-form matrix and its inverse are these, and
-    # the pushforward is the measure, so both transported moments are this one
+    # the Riesz image is the measure, so both transported moments are this one
     inverse_norm = state.inverse.norm_interval.upper
     moment = state.operator.second_moment
 

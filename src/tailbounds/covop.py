@@ -229,13 +229,11 @@ def mahalanobis(inverse: InverseOperator, y):
     if rows.ndim != 2 or rows.shape[1] != d:
         raise ShapeError(f"expected vectors of dimension {d}, got shape {arr.shape}")
     values = _quadratic_values(rows, inverse.matrix)
-    allowance = (
-        MAHALANOBIS_CLAMP
-        * p_norm_rows(rows, inverse.space.p) ** 2
-        * inverse.norm_interval.upper
-    )
-    if np.any(values < -allowance):
-        worst = float(values.min())
-        raise ValueError(f"quadratic statistic {worst!r} is negative beyond rounding")
-    values = np.where(values < 0.0, 0.0, values)
+    negative = values < 0.0
+    if negative.any():  # only a negative value's row needs its norm
+        norms = p_norm_rows(rows[negative], inverse.space.p)
+        if np.any(values[negative] < -MAHALANOBIS_CLAMP * norms**2 * inverse.norm_interval.upper):
+            worst = float(values.min())
+            raise ValueError(f"quadratic statistic {worst!r} is negative beyond rounding")
+        values[negative] = 0.0
     return float(values[0]) if single else values

@@ -3,9 +3,10 @@ numerical equality of the dual-space bounds with the quadratic-form bounds.
 
 At p = 2 the dual pairing is an inner product, so the functional f = Tx with
 Tx(y) = (y, x)_H identifies the space with its dual.  With the default
-identity gram T is literally the identity matrix and every identity below
-holds with the same floating-point numbers on both sides; a non-identity
-gram exercises the isometry nontrivially.
+identity gram T is literally the identity matrix: the Riesz image of a
+measure is the measure itself read as functionals, with no atom moved or
+merged, and every identity below holds with the same floating-point numbers
+on both sides.  A non-identity gram exercises the isometry nontrivially.
 """
 
 from __future__ import annotations
@@ -228,24 +229,25 @@ class EquivalenceResult:
 
 
 def bound_equivalence(measure: DiscreteMeasure, epsilon: float) -> EquivalenceResult:
-    """Evaluate the dual-space pair through the pushforward and the
+    """Evaluate the dual-space pair on the measure's Riesz image and the
     quadratic-form pair directly, at the same epsilon.
 
-    The forward RHS values agree to rounding ((E||x||^2)^2 / eps on both
-    routes), and so do the inverse ones; LHS values agree whenever no atom
-    sits exactly on the epsilon boundary, where the strict and non-strict
-    events part ways.
+    With the identity gram the Riesz image is the measure read as
+    functionals, so each pair shares one sorted statistic: (S x, x) forward,
+    (S^{-1} x, x) inverse.  The LHS values are equal bit for bit unless an
+    atom sits exactly on epsilon, where the strict and non-strict events
+    part ways.  The RHS values agree to rounding.
     """
     return _equivalence_grid(_MeasureState(measure), [epsilon])[0]
 
 
 def _equivalence_grid(state: _MeasureState, epsilons) -> list[EquivalenceResult]:
-    """bound_equivalence at every epsilon of an ascending grid, on one shared state."""
+    """bound_equivalence at every epsilon of an ascending grid, on one shared state:
+    each pair reads one sorted statistic, state.quadratic or state.mahalanobis."""
     _require_hilbert(state.measure, "the bound equivalence")
     _require_centered(state, "the bound equivalence")
-    image = pushforward(state.measure, riesz(state.measure.space).gram, role=ROLE_DUAL)
     prepared = (
-        _prepare(BANACH_DUAL, state, image),  # forward, banach
+        _prepare(BANACH_DUAL, state),  # forward, banach, on the Riesz image state.dual
         _prepare(RAO_FORWARD, state),  # forward, hilbert
         _prepare(BANACH_MAHALANOBIS, state),  # inverse, banach
         _prepare(RAO_INVERSE, state),  # inverse, hilbert

@@ -277,6 +277,8 @@ def test_sweep_banach_dual_with_pstar():
     reports = sweep("banach_dual", m, [0.5, 1.0, 2.0], pstar=pstar)
     assert [r.rhs for r in reports] == [2.0, 1.0, 0.5]
     assert all(r.holds for r in reports)
+    with pytest.raises(ValueError, match="needs a dual measure"):
+        sweep("banach_dual", m, [0.5, 1.0, 2.0])
 
 
 def test_epsilon_validation():

@@ -27,10 +27,12 @@ from tailbounds.errors import ShapeError
 from tailbounds.measure import GAUSSIAN
 
 
-# stdout digests of the two runs in test_golden_output_digests; the gaussian
-# one also depends on the numpy build's float64 log, cos and sin (see the test)
+# stdout digests of the runs in test_golden_output_digests; all but the
+# quantize one also depend on the numpy build (see the test)
 MC_GAUSSIAN_SHA256 = "69b8ad34cf517dc304958516bd981e7860524de2619e3943d25988ad4491fc65"
 QUANTIZE_BALL3_SHA256 = "682e13199212d2cd53a32c744963d8659b84c17e99bd16b69d0d177af0b972ae"
+VERIFY_ALL_P2_SHA256 = "4d3be1e2f03d074fe933992ade47e011a73b4b060da0237ec0a5a4f445cef856"
+REDUCE_SHA256 = "2e442ba6ab15f68f92afa6de55bfe5074fa7e0ccd57443736812d15c0c535f51"
 
 
 def signs_measure(dim: int = 2, p: float = 2.0) -> DiscreteMeasure:
@@ -581,7 +583,9 @@ def _digest(text: str) -> str:
 
 
 def test_golden_output_digests(tmp_path, capsys):
-    """Pinned stdout of one gaussian `mc` run and one uniform-ball `quantize` run.
+    """Pinned stdout of one gaussian `mc` run, one uniform-ball `quantize` run,
+    and one `verify --inequality all` and one `reduce` run on a small p = 2
+    measure of +-x pairs with no repeated atom.
 
     The gaussian draws come from the fixed-budget Philox stream (Box-Muller)
     and the p = 3 ball draws from the per-index stream, so a change to either
@@ -590,7 +594,9 @@ def test_golden_output_digests(tmp_path, capsys):
     and sin, whose last bits can differ between numpy builds and CPUs, so it
     is host-specific: on a new numpy build, check a mismatch against
     tests/test_measure.py::test_stream_words_oracle before calling it a
-    stream change.
+    stream change.  The verify and reduce digests are fixed per numpy and
+    LAPACK build in the same way: they go through numpy's einsum and
+    LAPACK's eigh, whose last bits can differ between builds.
     """
     gaussian = tmp_path / "gaussian.json"
     gaussian.write_text(json.dumps({
@@ -612,3 +618,23 @@ def test_golden_output_digests(tmp_path, capsys):
     )
     assert code == 0
     assert _digest(out) == QUANTIZE_BALL3_SHA256
+
+    rng = np.random.default_rng(11)
+    half = rng.standard_normal((12, 3)) * [1.0, 0.5, 2.0]
+    weights = np.tile(rng.uniform(0.5, 1.5, 12), 2)  # -x weighs what x does: mean 0
+    pairs = DiscreteMeasure(
+        PNormSpace(3, 2.0), np.concatenate([half, -half]), weights / weights.sum()
+    )
+    path = tmp_path / "pairs.json"
+    save_measure(pairs, path)
+    code, out, err = run(
+        capsys, "verify", "--input", str(path), "--inequality", "all",
+        "--grid", "0.1:10:9,log", "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    assert _digest(out) == VERIFY_ALL_P2_SHA256
+    code, out, err = run(
+        capsys, "reduce", "--input", str(path), "--grid", "0.1:10:9,log", "--seed", "2"
+    )
+    assert (code, err) == (0, "")
+    assert _digest(out) == REDUCE_SHA256

@@ -20,7 +20,14 @@ from tailbounds import (
     quad_form,
     quantize,
 )
-from tailbounds.covop import accumulate_outer, load_operator, save_operator
+import tailbounds.covop
+from tailbounds.covop import (
+    InverseOperator,
+    _quadratic_values,
+    accumulate_outer,
+    load_operator,
+    save_operator,
+)
 from tailbounds.errors import (
     CouplingError,
     NotPositiveDefiniteError,
@@ -28,6 +35,7 @@ from tailbounds.errors import (
     ShapeError,
 )
 from tailbounds.measure import GAUSSIAN
+from tailbounds.space import NormInterval
 
 from conftest import EXPONENTS, random_measure
 
@@ -306,6 +314,59 @@ def test_mahalanobis_rejects_shape_mismatch():
     inv = invert(build(signs_measure(2)))
     with pytest.raises(ShapeError):
         mahalanobis(inv, [1.0, 0.0, 0.0])
+
+
+def _tilted_inverse(negative_eigenvalue: float) -> InverseOperator:
+    """diag(1, negative_eigenvalue) with a unit norm: (S^{-1} y, y) < 0 along e2."""
+    matrix = np.diag([1.0, negative_eigenvalue])
+    return InverseOperator(matrix, PNormSpace(2, 2.0), NormInterval(1.0, 1.0, True))
+
+
+def count_norm_rows(monkeypatch) -> list:
+    original = tailbounds.covop.p_norm_rows
+    calls = []
+
+    def counted(rows, p):
+        calls.append(np.array(rows))
+        return original(rows, p)
+
+    monkeypatch.setattr(tailbounds.covop, "p_norm_rows", counted)
+    return calls
+
+
+def test_mahalanobis_clamps_negatives_within_the_allowance(monkeypatch):
+    inverse = _tilted_inverse(-1e-12)
+    calls = count_norm_rows(monkeypatch)
+    # -1e-12 is inside the allowance MAHALANOBIS_CLAMP * ||e2||^2 * 1 = 1e-10
+    value = mahalanobis(inverse, [0.0, 1.0])
+    assert isinstance(value, float) and value == 0.0 and math.copysign(1.0, value) == 1.0
+    # the allowance grows with ||y||^2: -1e-10 is inside 1e-10 * 100
+    rows = np.array([[2.0, 0.0], [0.0, 1.0], [0.5, 0.0], [0.0, 10.0], [3.0, 1.0]])
+    values = mahalanobis(inverse, rows)
+    raw = _quadratic_values(rows, inverse.matrix)
+    negative = raw < 0.0
+    assert negative.tolist() == [False, True, False, True, False]
+    assert np.array_equal(values[negative], [0.0, 0.0])
+    assert np.array_equal(values[~negative], raw[~negative])
+    # norms are taken of the negative rows only
+    assert [c.tolist() for c in calls] == [[[0.0, 1.0]], [[0.0, 1.0], [0.0, 10.0]]]
+
+
+def test_mahalanobis_negative_beyond_the_allowance_is_an_error():
+    inverse = _tilted_inverse(-1e-6)
+    with pytest.raises(ValueError, match="negative beyond rounding"):
+        mahalanobis(inverse, [0.0, 1.0])
+    with pytest.raises(ValueError, match="negative beyond rounding"):
+        mahalanobis(inverse, np.array([[1.0, 0.0], [0.0, 1.0]]))
+
+
+def test_mahalanobis_without_negatives_takes_no_norms(monkeypatch):
+    inverse = invert(build(signs_measure(2)))
+    calls = count_norm_rows(monkeypatch)
+    rows = np.random.default_rng(109).standard_normal((40, 2))
+    values = mahalanobis(inverse, rows)
+    assert np.array_equal(values, _quadratic_values(rows, inverse.matrix))
+    assert calls == []
 
 
 def test_operator_validation_and_round_trip(tmp_path):

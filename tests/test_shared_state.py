@@ -18,6 +18,7 @@ import tailbounds.bounds
 import tailbounds.cli
 import tailbounds.covop
 import tailbounds.hilbert
+import tailbounds.measure
 from tailbounds import (
     CovarianceOperator,
     DiscreteMeasure,
@@ -46,7 +47,9 @@ from tailbounds.measure import GAUSSIAN, UNIFORM_BALL
 from tailbounds.space import ROLE_DUAL, conjugate_exponent, p_norm, p_norm_rows
 
 GRID = "0.2:6:7,log"
-MODULES = (tailbounds.bounds, tailbounds.cli, tailbounds.covop, tailbounds.hilbert)
+MODULES = (
+    tailbounds.bounds, tailbounds.cli, tailbounds.covop, tailbounds.hilbert, tailbounds.measure,
+)
 
 
 def centered_pairs(dim: int, p: float, pairs: int = 20, seed: int = 4) -> DiscreteMeasure:
@@ -57,9 +60,9 @@ def centered_pairs(dim: int, p: float, pairs: int = 20, seed: int = 4) -> Discre
     return DiscreteMeasure(PNormSpace(dim, p), atoms, np.full(2 * pairs, 0.5 / pairs))
 
 
-def count_calls(monkeypatch, name: str) -> list:
-    """Count calls of covop.<name> made through every module that binds it."""
-    original = getattr(tailbounds.covop, name)
+def count_calls(monkeypatch, name: str, home=tailbounds.covop) -> list:
+    """Count calls of home.<name> made through every module that binds it."""
+    original = getattr(home, name)
     calls = []
 
     def counted(*args, **kwargs):
@@ -105,12 +108,16 @@ def test_verify_all_matches_per_epsilon_sweeps(p, names, tmp_path, capsys, monke
     builds = count_calls(monkeypatch, "build")
     inverts = count_calls(monkeypatch, "invert")
     accumulations = count_calls(monkeypatch, "accumulate_outer")
+    quadratics = count_calls(monkeypatch, "_quadratic_values")
     code, out, err = run(
         capsys, "verify", "--input", path, "--inequality", "all", "--grid", GRID,
         "--format", "csv",
     )
     assert (code, err) == (0, "")
     assert (len(builds), len(inverts), len(accumulations)) == (1, 1, 1)
+    # (S x, x), which banach_dual on the measure's own functionals shares with
+    # rao_forward at p = 2, and (S^-1 x, x) inside mahalanobis
+    assert len(quadratics) == 2
 
     monkeypatch.undo()
     pstar = replace(measure, role=ROLE_DUAL)
@@ -166,9 +173,13 @@ def test_reduce_matches_per_epsilon_calls(tmp_path, capsys, monkeypatch):
     builds = count_calls(monkeypatch, "build")
     inverts = count_calls(monkeypatch, "invert")
     accumulations = count_calls(monkeypatch, "accumulate_outer")
+    quadratics = count_calls(monkeypatch, "_quadratic_values")
+    pushforwards = count_calls(monkeypatch, "pushforward", tailbounds.measure)
     code, out, err = run(capsys, "reduce", "--input", path, "--grid", GRID, "--seed", 9)
     assert (code, err) == (0, "")
     assert (len(builds), len(inverts), len(accumulations)) == (1, 1, 1)
+    # the forward pair shares one (S x, x); the Riesz image is the measure itself
+    assert (len(quadratics), len(pushforwards)) == (2, 0)
 
     monkeypatch.undo()
     document = json.loads(out)
@@ -312,7 +323,7 @@ def test_verify_all_takes_the_atom_norms_and_moment_once(tmp_path, capsys, monke
         norm_rows.append(np.array(rows))
         return original(rows, p)
 
-    for module in (*MODULES, tailbounds.measure):
+    for module in MODULES:
         if getattr(module, "p_norm_rows", None) is original:
             monkeypatch.setattr(module, "p_norm_rows", counted)
     code, out, err = run(
@@ -320,7 +331,7 @@ def test_verify_all_takes_the_atom_norms_and_moment_once(tmp_path, capsys, monke
         "--format", "csv",
     )
     assert (code, err) == (0, "")
-    # the shared norms, the Mahalanobis clamp and euclidean's deviations from
-    # the mean (here the atoms, as the mean is zero)
-    assert len(norm_rows) == 3
+    # the shared norms and euclidean's deviations from the mean (here the
+    # atoms, as the mean is zero); the Mahalanobis clamp meets no negative value
+    assert len(norm_rows) == 2
     assert all(np.array_equal(rows, measure.atoms) for rows in norm_rows)
