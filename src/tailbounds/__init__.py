@@ -84,4 +84,4 @@ from .space import (
     pair,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

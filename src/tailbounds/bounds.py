@@ -227,8 +227,8 @@ def _require_centered(state: _MeasureState, inequality: str) -> None:
 
 
 class _MeasureState:
-    """A measure, itself read as functionals, with its mean, atom norms, second
-    moment, operator, inverse and sorted statistics (S x, x) and (S^{-1} x, x).
+    """A measure with its mean, atom norms, second moment, operator, inverse
+    and sorted statistics (S x, x) and (S^{-1} x, x).
 
     Each is computed on first use (a failed inversion too, whose error is
     raised again) and shared by every inequality and epsilon evaluated on it.
@@ -248,11 +248,6 @@ class _MeasureState:
     @cached_property
     def second_moment(self) -> float:
         return _moment_from_norms(self.measure.weights, self.norms)
-
-    @cached_property
-    def dual(self) -> DiscreteMeasure:
-        """The atoms and weights read as functionals: the Riesz image at p = 2."""
-        return replace(self.measure, role=ROLE_DUAL)
 
     @cached_property
     def operator(self) -> CovarianceOperator:
@@ -347,10 +342,14 @@ def _prepare_banach_dual(operator: CovarianceOperator, pstar: DiscreteMeasure) -
 
 
 def _prepare_own_dual(state: _MeasureState) -> _Prepared:
-    """banach_dual on state.dual, whose (S f, f) are the atoms' (S x, x) and
-    whose q-norms, at p = 2, are the atoms' p-norms."""
-    operator, space = state.operator, state.measure.space
-    moment = state.second_moment if space.q == space.p else second_moment(state.dual)
+    """banach_dual on the measure's own atoms read as functionals (the Riesz
+    image at p = 2): their (S f, f) are the atoms' (S x, x), and their
+    q-norms, at p = 2, the atoms' p-norms."""
+    operator, measure = state.operator, state.measure
+    if measure.space.q == measure.space.p:
+        moment = state.second_moment
+    else:
+        moment = _moment_from_norms(measure.weights, p_norm_rows(measure.atoms, measure.space.q))
     return _Prepared(BANACH_DUAL, *state.quadratic, False, moment * operator.second_moment, 1, {})
 
 
@@ -420,7 +419,7 @@ def _prepare(inequality: str, state: _MeasureState, pstar=None) -> _Prepared:
         _require_hilbert(state.measure, inequality)
     if inequality in CENTERED_ONLY:
         _require_centered(state, inequality)
-    if inequality == BANACH_DUAL and pstar is not None:  # else on state.dual
+    if inequality == BANACH_DUAL and pstar is not None:  # else on the atoms as functionals
         return _prepare_banach_dual(state.operator, pstar)
     preparers = {
         SCALAR: _prepare_scalar,
@@ -498,7 +497,7 @@ def _mc_prepare(sampler, statistic, operator, n_draws, seed=None) -> _Prepared:
         if operator is not None:
             raise ValueError("statistic 'norm' takes no operator")
         values = p_norm_rows(draws, sampler.space.p)
-        scale, power = float(np.mean(values**2)), 2
+        scale, power = _exact_sum(values**2) / n_draws, 2
         inequality = GRENANDER
     elif statistic == "quad_S":
         if not isinstance(operator, CovarianceOperator):
@@ -506,7 +505,7 @@ def _mc_prepare(sampler, statistic, operator, n_draws, seed=None) -> _Prepared:
         if operator.space.dim != sampler.space.dim:
             raise ShapeError("sampler and operator dimensions differ")
         values = _quadratic_values(draws, operator.matrix)
-        dual_moment = float(np.mean(p_norm_rows(draws, operator.space.q) ** 2))
+        dual_moment = _exact_sum(p_norm_rows(draws, operator.space.q) ** 2) / n_draws
         scale, power = dual_moment * operator.second_moment, 1
         inequality = BANACH_DUAL
     else:
@@ -515,7 +514,7 @@ def _mc_prepare(sampler, statistic, operator, n_draws, seed=None) -> _Prepared:
         if operator.space.dim != sampler.space.dim:
             raise ShapeError("sampler and operator dimensions differ")
         values = mahalanobis(operator, draws)
-        moment = float(np.mean(p_norm_rows(draws, operator.space.p) ** 2))
+        moment = _exact_sum(p_norm_rows(draws, operator.space.p) ** 2) / n_draws
         scale, power = operator.norm_interval.upper**2 * moment**2, 1
         inequality = BANACH_MAHALANOBIS
         detail = _norm_detail(operator.norm_interval)

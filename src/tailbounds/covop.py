@@ -175,13 +175,18 @@ def cauchy_estimate(
     The two measures must be atom-for-atom coupled: same space, same role,
     same weights in the same order (quantize with merge=False provides this).
     The estimate is ||f||_q sum_i w_i (||x_i^n|| + ||x_i^m||) ||x_i^n - x_i^m||.
+    With the weights shared, S_n f - S_m f is taken from its definition:
+    each coordinate is one exact sum of w_i (<f, x_i^n> x_i^n - <f, x_i^m> x_i^m).
     """
     if coarse.space != fine.space or coarse.role != fine.role:
         raise CouplingError("coupled measures must share space and role")
     if coarse.n_atoms != fine.n_atoms or not np.array_equal(coarse.weights, fine.weights):
         raise CouplingError("coupled measures must have identical weights, atom for atom")
-    p = coarse.space.p
-    lhs = p_norm(apply(build(coarse), f) - apply(build(fine), f), p)
+    if coarse.role != ROLE_PRIMAL:
+        raise RoleError("the second-moment operator is built from a primal measure")
+    p, fc = coarse.space.p, _coords(f, coarse.space.dim)
+    terms = (coarse.atoms @ fc) * coarse.atoms.T - (fine.atoms @ fc) * fine.atoms.T
+    lhs = p_norm(_exact_sum(coarse.weights * terms), p)
     gaps = p_norm_rows(coarse.atoms - fine.atoms, p)
     sizes = p_norm_rows(coarse.atoms, p) + p_norm_rows(fine.atoms, p)
     rhs = dual_norm(f, p) * _exact_sum(coarse.weights * (sizes * gaps))

@@ -247,7 +247,7 @@ def _equivalence_grid(state: _MeasureState, epsilons) -> list[EquivalenceResult]
     _require_hilbert(state.measure, "the bound equivalence")
     _require_centered(state, "the bound equivalence")
     prepared = (
-        _prepare(BANACH_DUAL, state),  # forward, banach, on the Riesz image state.dual
+        _prepare(BANACH_DUAL, state),  # forward, banach, on the Riesz image
         _prepare(RAO_FORWARD, state),  # forward, hilbert
         _prepare(BANACH_MAHALANOBIS, state),  # inverse, banach
         _prepare(RAO_INVERSE, state),  # inverse, hilbert

@@ -26,7 +26,7 @@ SYMMETRIC_ATOMS = "symmetric-atoms"
 FAMILIES = (GAUSSIAN, UNIFORM_BALL, SYMMETRIC_ATOMS)
 
 _UINT64_MASK = (1 << 64) - 1
-_CHUNK_DRAWS = 256  # draws made per pass of a fixed-budget stream
+_CHUNK_DRAWS = 256  # draws made whole from one generator key
 
 
 def _slices(terms: np.ndarray):
@@ -245,17 +245,12 @@ class Sampler:
                          is coordinatewise uniform),
       * symmetric-atoms: uniform over {+-a_1, ..., +-a_k}.
 
-    Gaussian and p = inf uniform-ball draws take a fixed budget of W words,
-    rounded up to whole 4-word counters, from one Philox stream keyed by
-    the seed: draw i owns counters [i W/4, (i+1) W/4).  A gaussian draw
-    turns each pair of words into two normals by Box-Muller (so |z| stays
-    below sqrt(106 ln 2), about 8.57), a p = inf ball draw takes one word
-    per coordinate.  The other families need rejection, so draw i runs
-    numpy's Generator on its own Philox key [seed, i].
-
-    Gaussian draws go through numpy's vectorised float64 log, cos and sin,
-    whose last bits can differ between numpy builds and CPUs; their bits
-    depend on (seed, i) for one numpy build, not across builds.
+    Draws come in chunks: chunk c holds draws 256c to 256c + 255 and is
+    always made whole, by numpy's Generator on a Philox keyed [seed, c], so
+    draw i is row i mod 256 of chunk i // 256 whatever block it is drawn in.
+    Drawing one index alone still makes its whole chunk.  The bits rest on
+    numpy's Generator algorithms and float64 operations: they depend on
+    (seed, i) for one numpy build, not across builds.
     """
 
     space: PNormSpace
@@ -290,17 +285,6 @@ class Sampler:
                 raise ShapeError(f"atoms must be (k, {d}) with k >= 1, got {a.shape}")
             object.__setattr__(self, "atoms", a)
 
-    @property
-    def _word_budget(self) -> int:
-        """Philox words per draw, in whole counters of 4; 0 for a per-index family."""
-        if self.family == GAUSSIAN:  # one pair of words per pair of normals
-            words = 2 * -(-self.cov_factor.shape[1] // 2)
-        elif self.family == UNIFORM_BALL and self.space.p == math.inf:
-            words = self.space.dim
-        else:
-            return 0
-        return 4 * -(-words // 4)
-
     def draw(self, index: int) -> np.ndarray:
         return self.draw_block(index, 1)[0]
 
@@ -310,73 +294,43 @@ class Sampler:
         if count < 1:
             raise ValueError(f"count must be positive, got {count}")
         draws = np.empty((count, self.space.dim))
-        seed = self.seed & _UINT64_MASK
+        stop = start + count
         # Philox(0) fetches no OS entropy; a key set through its state starts
         # from the fresh counter and buffer that Philox(key=...) would
         bits = np.random.Philox(0)
         state = bits.state
-        budget = self._word_budget
-        if budget:
-            state["state"]["key"] = np.array([seed, 0], dtype=np.uint64)
-            bits.state = state
-            bits.advance(start * budget // 4)
-            for lo in range(0, count, _CHUNK_DRAWS):  # chunks keep the temporaries small
-                chunk = draws[lo : lo + _CHUNK_DRAWS]
-                self._from_words(bits.random_raw((len(chunk), budget)), chunk)
-            return draws
         gen = np.random.Generator(bits)
-        for row, index in enumerate(range(start, start + count)):
-            state["state"]["key"] = np.array([seed, index & _UINT64_MASK], dtype=np.uint64)
+        for chunk in range(start // _CHUNK_DRAWS, -(-stop // _CHUNK_DRAWS)):
+            state["state"]["key"] = np.array([self.seed & _UINT64_MASK, chunk], dtype=np.uint64)
             bits.state = state
-            draws[row] = self._draw_with(gen)
+            first = chunk * _CHUNK_DRAWS
+            lo, hi = max(start, first), min(stop, first + _CHUNK_DRAWS)
+            draws[lo - start : hi - start] = self._draw_chunk(gen)[lo - first : hi - first]
         return draws
 
-    def _from_words(self, words: np.ndarray, out: np.ndarray) -> None:
-        """Write into `out` the draws made from the rows of `words`, one row per draw.
-
-        A word w stands for u = (w >> 11) * 2**-53, uniform on [0, 1).  Every
-        output element goes through the same elementwise operations whatever
-        the number of rows, so a draw's bits do not depend on its block.
-        """
-        if self.family == UNIFORM_BALL:  # radius * (2u - 1), coordinatewise
-            np.multiply((words[:, : self.space.dim] >> 11) * 2.0**-52 - 1.0, self.radius, out=out)
-            return
-        k = self.cov_factor.shape[1]
-        rows = np.ascontiguousarray(words.T[: k + k % 2])  # row j: word j of every draw
-        rows >>= 11
-        # Box-Muller on word pairs (u1, u2), with u1 + 2**-53 in (0, 1] so the log is finite
-        length = (rows[0::2] + 1) * 2.0**-53
-        np.log(length, out=length)
-        length *= -2.0
-        np.sqrt(length, out=length)
-        angle = rows[1::2] * (2.0 * math.pi * 2.0**-53)
-        cos = np.cos(angle)
-        cos *= length
-        sin = np.sin(angle, out=angle)
-        sin *= length
-        # mean + cov_factor @ z, summed over the columns of cov_factor in order
-        total = self.cov_factor[:, :1] * cos[0]
-        term = np.empty_like(total)
-        for j in range(1, k):
-            np.multiply(self.cov_factor[:, j : j + 1], (sin if j % 2 else cos)[j // 2], out=term)
-            total += term
-        np.add(total.T, self.mean, out=out)
-
-    def _draw_with(self, gen: np.random.Generator) -> np.ndarray:
-        """One draw of a per-index family from its own generator."""
+    def _draw_chunk(self, gen: np.random.Generator) -> np.ndarray:
+        """The _CHUNK_DRAWS draws of one chunk, made whole from its own generator."""
         d = self.space.dim
+        if self.family == GAUSSIAN:
+            # mean + cov_factor @ z, summed over the columns of cov_factor in order
+            z = gen.standard_normal((self.cov_factor.shape[1], _CHUNK_DRAWS))
+            total = self.cov_factor[:, :1] * z[0]
+            for j in range(1, len(z)):
+                total += self.cov_factor[:, j : j + 1] * z[j]
+            return total.T + self.mean
+        if self.family == UNIFORM_BALL and self.space.p == math.inf:
+            return self.radius * (2.0 * gen.random((_CHUNK_DRAWS, d)) - 1.0)
         if self.family == UNIFORM_BALL:
             # |g_i|^p ~ Gamma(1/p); (g, pad) normalized lands uniformly in the ball
             p = self.space.p
-            magnitudes = gen.gamma(1.0 / p, 1.0, d)
-            signs = 2.0 * gen.integers(0, 2, d) - 1.0
-            pad = gen.standard_exponential()
-            scale = (magnitudes.sum() + pad) ** (1.0 / p)
-            return self.radius * signs * magnitudes ** (1.0 / p) / scale
+            magnitudes = gen.gamma(1.0 / p, 1.0, (_CHUNK_DRAWS, d))
+            signs = 2.0 * gen.integers(0, 2, (_CHUNK_DRAWS, d)) - 1.0
+            pad = gen.standard_exponential(_CHUNK_DRAWS)
+            scale = (magnitudes.sum(axis=1) + pad) ** (1.0 / p)
+            return self.radius * signs * magnitudes ** (1.0 / p) / scale[:, None]
         k = self.atoms.shape[0]
-        pick = int(gen.integers(0, 2 * k))
-        sign = 1.0 if pick < k else -1.0
-        return sign * self.atoms[pick % k]
+        picks = gen.integers(0, 2 * k, _CHUNK_DRAWS)
+        return np.where(picks < k, 1.0, -1.0)[:, None] * self.atoms[picks % k]
 
     def to_dict(self) -> dict:
         out = {

@@ -350,6 +350,28 @@ def test_mc_tail_operator_statistics():
     assert mahal.lhs == 1.0  # boundary is included: the event is non-strict
 
 
+@pytest.mark.parametrize("statistic", ["norm", "quad_S", "mahalanobis_S"])
+def test_mc_moments_are_exact_sums(statistic):
+    """Each sample moment is math.fsum of the squared norms over n; at this
+    seed numpy's pairwise mean of the same values rounded differently."""
+    sampler = Sampler(
+        PNormSpace(3, 3.0), GAUSSIAN, seed=7, cov_factor=[[1.0, 0.5], [0.0, 2.0], [-1.0, 0.25]]
+    )
+    draws = sampler.draw_block(0, 1000)
+    op = build(random_measure(np.random.default_rng(7), dim=3, p=3.0, definite=True))
+    inv = invert(op)
+
+    def moment(exponent):
+        return math.fsum((p_norm_rows(draws, exponent) ** 2).tolist()) / 1000
+
+    operator, expected = {
+        "norm": (None, moment(3.0)),
+        "quad_S": (op, moment(1.5) * op.second_moment),
+        "mahalanobis_S": (inv, inv.norm_interval.upper**2 * moment(3.0) ** 2),
+    }[statistic]
+    assert _mc_prepare(sampler, statistic, operator, 1000).scale == expected
+
+
 def test_mc_tail_validation():
     sampler = Sampler(
         space=PNormSpace(2, 2.0),

@@ -27,10 +27,10 @@ from tailbounds.errors import ShapeError
 from tailbounds.measure import GAUSSIAN
 
 
-# stdout digests of the runs in test_golden_output_digests; all but the
-# quantize one also depend on the numpy build (see the test)
-MC_GAUSSIAN_SHA256 = "69b8ad34cf517dc304958516bd981e7860524de2619e3943d25988ad4491fc65"
-QUANTIZE_BALL3_SHA256 = "682e13199212d2cd53a32c744963d8659b84c17e99bd16b69d0d177af0b972ae"
+# stdout digests of the runs in test_golden_output_digests; each also
+# depends on the numpy build (see the test)
+MC_GAUSSIAN_SHA256 = "cbc10b989761f1fc8c033a699b21351f263f0fb67cc9c7397f7d4838a1cc68ca"
+QUANTIZE_BALL3_SHA256 = "0cc28115cb8495747f9c9c1e2b15d910adabc8af5736972a625b997331905e2d"
 VERIFY_ALL_P2_SHA256 = "4d3be1e2f03d074fe933992ade47e011a73b4b060da0237ec0a5a4f445cef856"
 REDUCE_SHA256 = "2e442ba6ab15f68f92afa6de55bfe5074fa7e0ccd57443736812d15c0c535f51"
 
@@ -587,16 +587,14 @@ def test_golden_output_digests(tmp_path, capsys):
     and one `verify --inequality all` and one `reduce` run on a small p = 2
     measure of +-x pairs with no repeated atom.
 
-    The gaussian draws come from the fixed-budget Philox stream (Box-Muller)
-    and the p = 3 ball draws from the per-index stream, so a change to either
-    stream changes a digest here and has to be declared as an output change.
-    The gaussian digest also depends on numpy's vectorised float64 log, cos
-    and sin, whose last bits can differ between numpy builds and CPUs, so it
-    is host-specific: on a new numpy build, check a mismatch against
-    tests/test_measure.py::test_stream_words_oracle before calling it a
-    stream change.  The verify and reduce digests are fixed per numpy and
-    LAPACK build in the same way: they go through numpy's einsum and
-    LAPACK's eigh, whose last bits can differ between builds.
+    Both samplers draw whole 256-draw chunks, each from numpy's Generator on
+    its own Philox key (see tests/test_measure.py::test_stream_chunk_oracle),
+    so a change to the stream changes a digest here and has to be declared
+    as an output change.  Every digest is fixed per numpy build: the draws
+    rest on numpy's Generator algorithms and float64 operations, and the
+    verify and reduce runs on numpy's einsum and LAPACK's eigh, whose last
+    bits can differ between builds.  On a new numpy build, check a mismatch
+    against the chunk oracle before calling it a stream change.
     """
     gaussian = tmp_path / "gaussian.json"
     gaussian.write_text(json.dumps({

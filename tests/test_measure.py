@@ -453,47 +453,52 @@ def test_exact_sum_rejects_terms_it_cannot_hold():
             _exact_sum(np.array(terms))
 
 
-def _per_index_draw(sampler: Sampler, index: int) -> np.ndarray:
-    """A per-index draw from its own Philox(key=[seed, index])."""
-    key = np.array([sampler.seed, index], dtype=np.uint64)
-    return sampler._draw_with(np.random.Generator(np.random.Philox(key=key)))
-
-
-def _stream_words(sampler: Sampler, index: int) -> np.ndarray:
-    """The W words of draw `index` of a fixed-budget stream: counters
-    [index W/4, (index + 1) W/4) of Philox keyed by the seed."""
-    budget = sampler._word_budget
-    bits = np.random.Philox(key=sampler.seed)
-    bits.advance(index * budget // 4)
-    return bits.random_raw(budget)
-
-
-def _stream_draw(sampler: Sampler, index: int) -> np.ndarray:
-    """Draw `index` made by the sampler's own transform from the oracle's words."""
-    out = np.empty((1, sampler.space.dim))
-    sampler._from_words(_stream_words(sampler, index)[None, :], out)
-    return out[0]
+def _chunk_draw(sampler: Sampler, index: int) -> np.ndarray:
+    """Row index % 256 of the chunk this oracle makes itself, with numpy's
+    Generator on Philox(key=[seed, index // 256]).  Gaussian and p = inf ball
+    rows are formed from it in math-module floats."""
+    key = np.array([sampler.seed, index // 256], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    row, dim = index % 256, sampler.space.dim
+    if sampler.family == GAUSSIAN:
+        z = gen.standard_normal((sampler.cov_factor.shape[1], 256))[:, row].tolist()
+        draw = []
+        for coefficients, shift in zip(sampler.cov_factor.tolist(), sampler.mean.tolist()):
+            total = coefficients[0] * z[0]  # the columns of cov_factor in order
+            for coefficient, normal in zip(coefficients[1:], z[1:]):
+                total += coefficient * normal
+            draw.append(total + shift)
+        return np.array(draw)
+    if sampler.family == UNIFORM_BALL and sampler.space.p == math.inf:
+        return np.array([sampler.radius * (2.0 * u - 1.0) for u in gen.random((256, dim))[row]])
+    if sampler.family == UNIFORM_BALL:
+        # numpy's power can round a row alone differently from the whole chunk
+        p = sampler.space.p
+        magnitudes = gen.gamma(1.0 / p, 1.0, (256, dim))
+        signs = 2.0 * gen.integers(0, 2, (256, dim)) - 1.0
+        scale = (magnitudes.sum(axis=1) + gen.standard_exponential(256)) ** (1.0 / p)
+        return (sampler.radius * signs * magnitudes ** (1.0 / p) / scale[:, None])[row]
+    k = len(sampler.atoms)
+    pick = int(gen.integers(0, 2 * k, 256)[row])
+    return (1.0 if pick < k else -1.0) * sampler.atoms[pick % k]
 
 
 @pytest.mark.parametrize(
-    "sampler, oracle",
+    "sampler",
     [
-        (
-            Sampler(PNormSpace(3, 2.0), GAUSSIAN, seed=21, cov_factor=np.arange(9.0).reshape(3, 3)),
-            _stream_draw,
-        ),
-        (Sampler(PNormSpace(3, 1.5), UNIFORM_BALL, seed=22), _per_index_draw),
-        (Sampler(PNormSpace(3, 2.0), UNIFORM_BALL, seed=23, radius=2.0), _per_index_draw),
-        (Sampler(PNormSpace(3, math.inf), UNIFORM_BALL, seed=24), _stream_draw),
-        (
-            Sampler(PNormSpace(2, 2.0), SYMMETRIC_ATOMS, seed=25, atoms=[[1.0, 2.0], [3.0, -4.0]]),
-            _per_index_draw,
-        ),
+        Sampler(PNormSpace(3, 2.0), GAUSSIAN, seed=21, cov_factor=np.arange(9.0).reshape(3, 3)),
+        Sampler(PNormSpace(3, 1.5), UNIFORM_BALL, seed=22),
+        Sampler(PNormSpace(3, 2.0), UNIFORM_BALL, seed=23, radius=2.0),
+        Sampler(PNormSpace(3, math.inf), UNIFORM_BALL, seed=24),
+        Sampler(PNormSpace(2, 2.0), SYMMETRIC_ATOMS, seed=25, atoms=[[1.0, 2.0], [3.0, -4.0]]),
     ],
     ids=["gaussian", "ball-1.5", "ball-2", "ball-inf", "symmetric-atoms"],
 )
-def test_draw_block_keeps_the_per_draw_philox_stream(sampler, oracle, monkeypatch):
-    expected = np.stack([oracle(sampler, i) for i in range(7, 207)])
+def test_draw_block_keeps_the_per_draw_philox_stream(sampler, monkeypatch):
+    """Each draw is its chunk oracle's row, in a block or alone, up to index 10**12."""
+    expected = np.stack([_chunk_draw(sampler, i) for i in range(7, 607)])
+    alone = [0, 255, 256, 257, 10**12 - 1, 10**12]
+    expected_alone = [_chunk_draw(sampler, i) for i in alone]
     constructed = []
     original = np.random.Philox
 
@@ -502,9 +507,11 @@ def test_draw_block_keeps_the_per_draw_philox_stream(sampler, oracle, monkeypatc
         return original(*args, **kwargs)
 
     monkeypatch.setattr(tailbounds.measure.np.random, "Philox", counted)
-    block = sampler.draw_block(7, 200)
-    assert len(constructed) == 1
+    block = sampler.draw_block(7, 600)
+    assert len(constructed) == 1  # one Philox per block, re-keyed for each of its 3 chunks
     assert np.array_equal(block, expected)
+    for index, draw in zip(alone, expected_alone):
+        assert np.array_equal(sampler.draw(index), draw), index
 
 
 def _stream_samplers():
@@ -523,6 +530,14 @@ def _stream_samplers():
             Sampler(PNormSpace(dim, math.inf), UNIFORM_BALL, seed=200 + dim, radius=0.3 * dim),
             id=f"ball-inf-{dim}",
         )
+    for p in (1.0, 1.5, 3.0):
+        yield pytest.param(
+            Sampler(PNormSpace(4, p), UNIFORM_BALL, seed=300, radius=1.5), id=f"ball-{p:g}-4"
+        )
+    yield pytest.param(
+        Sampler(PNormSpace(2, 2.0), SYMMETRIC_ATOMS, seed=400, atoms=rng.standard_normal((3, 2))),
+        id="symmetric-atoms-3",
+    )
 
 
 @pytest.mark.parametrize("sampler", list(_stream_samplers()))
@@ -532,7 +547,10 @@ def test_stream_draws_do_not_depend_on_the_block(sampler):
     block = sampler.draw_block(start, count)
     assert block.shape == (count, sampler.space.dim)
     assert np.array_equal(block, np.stack([sampler.draw(i) for i in range(start, start + count)]))
-    for sizes in ([chunk - 1], [chunk], [chunk + 1], [1, 3, 5, chunk + 7, 2 * chunk - 1]):
+    for sizes in (
+        [chunk - 1], [chunk], [chunk + 1], [1, 3, 5, chunk + 7, 2 * chunk - 1],
+        [chunk - 1 - start], [chunk - start], [chunk + 1 - start],  # split at 255, 256, 257
+    ):
         pieces, at = [], start
         for size in sizes + [count - sum(sizes)]:
             pieces.append(sampler.draw_block(at, size))
@@ -540,48 +558,47 @@ def test_stream_draws_do_not_depend_on_the_block(sampler):
         assert np.array_equal(np.concatenate(pieces), block), sizes
 
 
-def _box_muller(words: np.ndarray, count: int) -> list:
-    """The first `count` normals of Box-Muller on word pairs, in math-module floats."""
-    normals = []
-    for w1, w2 in zip(*[iter(words.tolist())] * 2):
-        length = math.sqrt(-2.0 * math.log(((w1 >> 11) + 1) * 2.0**-53))
-        angle = 2.0 * math.pi * ((w2 >> 11) * 2.0**-53)
-        normals += [length * math.cos(angle), length * math.sin(angle)]
-    return normals[:count]
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3, 8, 13])
-def test_stream_words_oracle(dim):
-    """Draw i takes the words at counters [i W/4, (i + 1) W/4) of Philox(key=seed)."""
+def test_stream_chunk_oracle(dim):
+    """Draw i is row i mod 256 of the chunk made from Philox(key=[seed, i // 256]),
+    for the standard normal, a non-square cov_factor and the p = inf ball."""
     indices = [0, 1, 2, 255, 256, 257, 1001, 10**12]
-    budget = 4 * -(-2 * -(-dim // 2) // 4)  # pairs of words, in whole counters
-    standard = Sampler(PNormSpace(dim, 2.0), GAUSSIAN, seed=31)
-    assert standard._word_budget == budget
-    for index in indices:
-        expected = _box_muller(_stream_words(standard, index), dim)
-        draw = standard.draw(index).tolist()
-        assert all(abs(a - b) <= 4 * math.ulp(b) for a, b in zip(draw, expected)), index
-
-    # mean + cov_factor @ z over the columns in order, on the same normals z
     rng = np.random.default_rng(dim)
-    factor, offset = rng.standard_normal((dim + 2, dim)), rng.standard_normal(dim + 2)
-    mixed = Sampler(PNormSpace(dim + 2, 2.0), GAUSSIAN, seed=31, mean=offset, cov_factor=factor)
-    for index in indices:
-        z = standard.draw(index).tolist()
-        expected = []
-        for row, shift in zip(factor.tolist(), offset.tolist()):
-            total = row[0] * z[0]
-            for coefficient, normal in zip(row[1:], z[1:]):
-                total += coefficient * normal
-            expected.append(total + shift)
-        assert mixed.draw(index).tolist() == expected
+    samplers = [
+        Sampler(PNormSpace(dim, 2.0), GAUSSIAN, seed=31),
+        Sampler(
+            PNormSpace(dim + 2, 2.0), GAUSSIAN, seed=31,
+            mean=rng.standard_normal(dim + 2), cov_factor=rng.standard_normal((dim + 2, dim)),
+        ),
+        Sampler(PNormSpace(dim, math.inf), UNIFORM_BALL, seed=32, radius=1.7),
+    ]
+    for sampler in samplers:
+        for index in indices:
+            assert sampler.draw(index).tolist() == _chunk_draw(sampler, index).tolist(), index
 
-    ball = Sampler(PNormSpace(dim, math.inf), UNIFORM_BALL, seed=32, radius=1.7)
-    assert ball._word_budget == 4 * -(-dim // 4)
-    for index in indices:
-        words = _stream_words(ball, index).tolist()[:dim]
-        expected = [1.7 * (2.0 * ((w >> 11) * 2.0**-53) - 1.0) for w in words]
-        assert ball.draw(index).tolist() == expected
+
+@pytest.mark.parametrize("dim", [1, 3, 4])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_uniform_ball_radius_passes_kolmogorov_smirnov(p, dim):
+    """P(||X||_p <= t r) = t**dim for a uniform draw from the radius-r p-ball."""
+    sampler = Sampler(PNormSpace(dim, p), UNIFORM_BALL, seed=int(10 * p) + dim, radius=1.5)
+    radii = np.sort(p_norm_rows(sampler.draw_block(0, 20_000), p) / 1.5)
+    cdf = radii**dim
+    n = len(radii)
+    statistic = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+    assert statistic < 1.63 / math.sqrt(n)  # the 1% critical value
+
+
+def test_symmetric_atoms_outcomes_pass_chi_square():
+    atoms = np.array([[1.0, 2.0], [0.5, -0.25], [3.0, 0.0]])
+    sampler = Sampler(PNormSpace(2, 2.0), SYMMETRIC_ATOMS, seed=44, atoms=atoms)
+    block = sampler.draw_block(0, 30_000)
+    support = np.vstack([atoms, -atoms])
+    matches = (block[:, None, :] == support[None, :, :]).all(axis=2)
+    assert np.array_equal(matches.sum(axis=1), np.ones(len(block)))  # one outcome per draw
+    counts = matches.sum(axis=0)
+    expected = len(block) / len(support)
+    assert ((counts - expected) ** 2 / expected).sum() < 15.086  # chi-square, 5 dof, 1%
 
 
 def _normals(count: int) -> np.ndarray:
@@ -594,8 +611,6 @@ def test_stream_normals_pass_kolmogorov_smirnov():
     n = len(z)
     statistic = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
     assert statistic < 1.63 / math.sqrt(n)  # the 1% critical value
-    # the 53-bit u1 bounds every normal by sqrt(-2 log 2**-53), about 8.57
-    assert np.abs(z).max() <= math.sqrt(-2.0 * math.log(2.0**-53))
 
 
 def test_stream_normals_moments():
@@ -605,5 +620,5 @@ def test_stream_normals_moments():
     assert abs(z.var() - 1.0) < 4.0 * math.sqrt(2.0 / n)
     assert abs((z**3).mean()) < 4.0 * math.sqrt(15.0 / n)
     assert abs((z**4).mean() - 3.0) < 4.0 * math.sqrt(96.0 / n)
-    cosine, sine = z[0::2], z[1::2]  # the two normals of one word pair
-    assert abs((cosine * sine).mean()) < 4.0 / math.sqrt(n / 2)
+    first, second = z[0::2], z[1::2]  # the two coordinates of one draw
+    assert abs((first * second).mean()) < 4.0 / math.sqrt(n / 2)

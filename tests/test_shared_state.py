@@ -276,7 +276,7 @@ def test_quantize_matches_separately_drawn_outputs(tmp_path, capsys, monkeypatch
     )
     assert (code, out, err) == (0, "", "")
     assert blocks == [(0, 400)]
-    assert len(accumulations) == 2  # one per coupled measure behind the Cauchy check
+    assert accumulations == []  # the Cauchy check sums S_n f - S_m f from its terms
 
     monkeypatch.undo()
     # the seed-commit report: every measure and every error check draws anew
@@ -308,6 +308,27 @@ def test_quantize_matches_separately_drawn_outputs(tmp_path, capsys, monkeypatch
     expected_path = tmp_path / "expected.json"
     save_measure(quantize(sampler, 400, 0.05), expected_path)
     assert out_path.read_bytes() == expected_path.read_bytes()
+
+
+def test_verify_all_at_p3_constructs_the_measure_once(tmp_path, capsys, monkeypatch):
+    """The default dual sample is the loaded measure's own atoms: its q-norm
+    moment is taken from them, with no second, validated measure."""
+    path = tmp_path / "m.json"
+    save_measure(centered_pairs(3, 3.0), path)
+    original = DiscreteMeasure.__post_init__
+    constructed = []
+
+    def counted(self):
+        constructed.append(self.role)
+        original(self)
+
+    monkeypatch.setattr(DiscreteMeasure, "__post_init__", counted)
+    code, out, err = run(
+        capsys, "verify", "--input", path, "--inequality", "all", "--grid", GRID,
+        "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    assert constructed == ["primal"]
 
 
 def test_verify_all_takes_the_atom_norms_and_moment_once(tmp_path, capsys, monkeypatch):
