@@ -27,6 +27,7 @@ FAMILIES = (GAUSSIAN, UNIFORM_BALL, SYMMETRIC_ATOMS)
 
 _UINT64_MASK = (1 << 64) - 1
 _CHUNK_DRAWS = 256  # draws made whole from one generator key
+_BLOCK_ATOMS = 256  # atoms written per string by _measure_json
 
 
 def _slices(terms: np.ndarray):
@@ -158,20 +159,40 @@ class DiscreteMeasure:
         return cls(space, data["atoms"], data["weights"], data["role"])
 
 
+def _reprs(values: np.ndarray) -> list:
+    """repr of each value in row-major order, each distinct float formatted once.
+
+    Values are told apart by bit pattern, not by ==: -0.0 == 0.0, but the
+    two print differently.
+    """
+    keys, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    table = np.array([repr(value) for value in keys.view(float).tolist()], dtype=object)
+    return table[inverse].tolist()
+
+
 def _measure_json(measure: DiscreteMeasure):
     """Yield the text of json.dumps(measure.to_dict(), indent=2) and a newline.
 
     json's indenting encoder is pure Python.  Atoms and weights are finite
-    floats, whose JSON text is their repr, so they are joined into the
-    indented layout directly, one atom at a time to keep the peak low.
+    floats, whose JSON text is their repr, so they are written into the
+    indented layout directly, one %-template string per block of
+    _BLOCK_ATOMS atoms, with each distinct float of a block formatted once.
+    No list of Python floats is built, which keeps the peak low; quantized
+    measures repeat few values, so most reprs are saved.
     """
-    data = measure.to_dict()
-    yield json.dumps({key: data[key] for key in ("dim", "p", "role")}, indent=2)[:-2]
-    separator = ',\n  "atoms": [\n    [\n      '
-    for atom in data["atoms"]:
-        yield separator + ",\n      ".join(map(repr, atom))
-        separator = "\n    ],\n    [\n      "
-    yield '\n    ]\n  ],\n  "weights": [\n    ' + ",\n    ".join(map(repr, data["weights"]))
+    space = measure.space
+    header = {"dim": space.dim, "p": exponent_to_json(space.p), "role": measure.role}
+    atom = "\n    [\n      " + ",\n      ".join(["%s"] * space.dim) + "\n    ]"
+
+    def blocks(values: np.ndarray, item: str):
+        for start in range(0, len(values), _BLOCK_ATOMS):
+            block = values[start : start + _BLOCK_ATOMS]
+            yield ("," if start else "") + ",".join([item] * len(block)) % tuple(_reprs(block))
+
+    yield json.dumps(header, indent=2)[:-2] + ',\n  "atoms": ['
+    yield from blocks(measure.atoms, atom)
+    yield '\n  ],\n  "weights": ['
+    yield from blocks(measure.weights, "\n    %s")
     yield "\n  ]\n}\n"
 
 
@@ -410,16 +431,21 @@ def quantize_draws(space, draws, resolution: float, merge: bool = True) -> Discr
     """Empirical measure of the rows of draws, each snapped to the grid.
 
     Coincident grid cells are merged by integer index with integer count
-    accounting, so weights sum to exactly one after a single final division.
+    accounting, so weights sum to exactly one after a single final division:
+    one lexsort of the index rows, whose runs of equal rows are the cells,
+    in the lexicographic (signed int64) order np.unique(axis=0) would give.
     With merge=False atoms stay aligned one-to-one with the rows, which is
     what the coupled two-resolution comparisons need.
     """
     n_samples = draws.shape[0]
     indices = grid_indices(draws, resolution)
     if merge:
-        unique, counts = np.unique(indices, axis=0, return_counts=True)
-        atoms = unique * resolution
-        weights = counts / float(n_samples)
+        rows = indices[np.lexsort(indices.T[::-1])]  # lexicographic, first column first
+        first = np.ones(n_samples, dtype=bool)
+        first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+        starts = np.flatnonzero(first)
+        atoms = rows[starts] * resolution
+        weights = np.diff(starts, append=n_samples) / float(n_samples)
     else:
         atoms = indices * resolution
         weights = np.full(n_samples, 1.0 / n_samples)

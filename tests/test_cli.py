@@ -405,6 +405,34 @@ def test_quantize_deterministic(sampler_path, tmp_path, capsys):
     ).read_bytes()
 
 
+@pytest.fixture
+def ball_quantize_args(tmp_path):
+    """A quantize run of 600 uniform-ball draws over three 256-atom blocks."""
+    ball = tmp_path / "ball.json"
+    ball.write_text(json.dumps({"dim": 4, "p": 3.0, "family": "uniform-ball", "seed": 1}))
+    return ("quantize", "--input", str(ball), "--samples", "600", "--resolution", "0.01",
+            "--seed", "2")
+
+
+def test_quantize_out_file_is_the_stdout_text(ball_quantize_args, tmp_path, capsys):
+    code, out, err = run(capsys, *ball_quantize_args)
+    assert code == 0
+    path = tmp_path / "m.json"
+    assert run(capsys, *ball_quantize_args, "--out", str(path)) == (0, "", "")
+    assert path.read_bytes() == out.encode()
+    assert (tmp_path / "m.json.report.json").read_bytes() == err.encode()
+
+
+def test_quantize_stdout_does_not_build_to_dict(ball_quantize_args, capsys, monkeypatch):
+    expected = run(capsys, *ball_quantize_args)
+
+    def refuse(self):
+        raise AssertionError("the writer built to_dict()")
+
+    monkeypatch.setattr(DiscreteMeasure, "to_dict", refuse)
+    assert run(capsys, *ball_quantize_args) == expected
+
+
 def test_quantize_zero_samples_exit_1(sampler_path, capsys):
     code, _, err = run(
         capsys,

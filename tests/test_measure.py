@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from tailbounds.measure import (
     grid_indices,
     load_sampler,
     mean,
+    quantize_draws,
     quantize_points,
 )
 from tailbounds.space import p_norm, p_norm_rows
@@ -84,6 +86,24 @@ def test_json_round_trip(tmp_path):
     assert np.array_equal(back.weights, m.weights)
 
 
+def _grid_case(n: int, dim: int, p: float = 2.0, role: str = "primal"):
+    """n atoms on a few multiples of 0.1, as quantize writes them.
+
+    The first two coordinates are -0.0 and 0.0, in one block; past 256 atoms
+    one value sits on both sides of the first block boundary.
+    """
+    atoms = np.random.default_rng(31 * n + dim).integers(-3, 4, (n, dim)) * 0.1
+    atoms.reshape(-1)[:2] = [-0.0, 0.0][: n * dim]
+    if n > 256:
+        atoms[255, -1] = atoms[256, 0] = 1.0 / 3.0
+    return PNormSpace(dim, p), atoms, np.full(n, 1.0 / n), role
+
+
+_GRID_SIZES = [(n, dim) for n in (1, 255, 256, 257, 513) for dim in (1, 30)]
+_random = np.random.default_rng(17)
+_tiny = np.array([5e-324, -5e-324, 0.0, -0.0, 0.5])[_random.integers(0, 5, (600, 3))]
+
+
 @pytest.mark.parametrize(
     "space, atoms, weights, role",
     [
@@ -93,8 +113,16 @@ def test_json_round_trip(tmp_path):
         (PNormSpace(1, math.inf), [[-7.0]], [1.0], "primal"),  # one atom, p written "inf"
         (PNormSpace(4, 3.0), np.random.default_rng(5).standard_normal((50, 4)), [0.02] * 50,
          "primal"),
+        *(_grid_case(n, dim) for n, dim in _GRID_SIZES),
+        # +-5e-324 and +-0.0 repeated in every block, p = inf, dual
+        (PNormSpace(3, math.inf), _tiny, np.full(600, 1.0 / 600), "dual"),
+        # every coordinate and weight distinct, over three blocks
+        (PNormSpace(3, 1.5), _random.standard_normal((600, 3)),
+         (lambda w: w / w.sum())(_random.uniform(0.5, 1.5, 600)), "primal"),
     ],
-    ids=["extreme-floats", "dual-zero-weight", "one-atom-p-inf", "random-50x4"],
+    ids=["extreme-floats", "dual-zero-weight", "one-atom-p-inf", "random-50x4",
+         *(f"grid-{n}x{dim}" for n, dim in _GRID_SIZES), "p-inf-dual-tiny-600x3",
+         "distinct-600x3"],
 )
 def test_measure_json_is_the_indenting_encoder_text(tmp_path, space, atoms, weights, role):
     measure = DiscreteMeasure(space, atoms, weights, role)
@@ -103,6 +131,40 @@ def test_measure_json_is_the_indenting_encoder_text(tmp_path, space, atoms, weig
     path = tmp_path / "m.json"
     save_measure(measure, path)
     assert path.read_text() == expected
+
+
+def _quantized_ball(n: int = 2000) -> DiscreteMeasure:
+    """The measure of the quantize-ball benchmark: 2000 x 4, few distinct values."""
+    return quantize(Sampler(PNormSpace(4, 3.0), UNIFORM_BALL, seed=1), n, resolution=0.01)
+
+
+def test_save_measure_does_not_build_to_dict(tmp_path, monkeypatch):
+    measure = _quantized_ball()
+    expected = json.dumps(measure.to_dict(), indent=2) + "\n"
+
+    def refuse(self):
+        raise AssertionError("the writer built to_dict()")
+
+    monkeypatch.setattr(DiscreteMeasure, "to_dict", refuse)
+    save_measure(measure, tmp_path / "m.json")
+    assert (tmp_path / "m.json").read_text() == expected
+
+
+def test_save_measure_peak_is_below_the_to_dict_lists(tmp_path):
+    measure = _quantized_ball()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lists = measure.to_dict()
+        list_bytes = tracemalloc.get_traced_memory()[0] - before
+        del lists
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        save_measure(measure, tmp_path / "m.json")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak < list_bytes
 
 
 def test_from_dict_names_missing_fields():
@@ -211,6 +273,37 @@ def test_quantize_merges_duplicates():
     assert m.n_atoms == 1
     assert np.array_equal(m.atoms, [[0.0]])
     assert m.weights[0] == 1.0
+
+
+def _unique_merge(draws: np.ndarray, resolution: float):
+    """Atoms and weights of the np.unique(axis=0) merge: the oracle for quantize_draws."""
+    unique, counts = np.unique(grid_indices(draws, resolution), axis=0, return_counts=True)
+    return unique * resolution, counts / float(len(draws))
+
+
+@pytest.mark.parametrize(
+    "n, dim, low, high",
+    [
+        (1, 1, -3, 3),
+        (1, 5, -3, 3),
+        (400, 1, -4, 4),  # dim 1, heavy duplicates
+        (2000, 4, -2, 2),  # heavy duplicates in every column
+        (777, 3, -10**6, 10**6),  # almost all distinct
+        (500, 2, -2**40, 2**40),  # wide signed indices
+        (300, 6, 0, 1),  # nonnegative 0/1 rows
+    ],
+)
+def test_quantize_merge_matches_unique_rows(n, dim, low, high):
+    rng = np.random.default_rng(n + dim)
+    cells = rng.integers(low, high + 1, (n, dim))
+    if n > 1:
+        cells[n // 2 :] = cells[: n - n // 2]  # every row at least twice
+    for resolution in (1.0, 0.1):
+        draws = cells * resolution
+        measure = quantize_draws(PNormSpace(dim, 2.0), draws, resolution)
+        atoms, weights = _unique_merge(draws, resolution)
+        assert measure.atoms.tobytes() == atoms.tobytes()
+        assert measure.weights.tobytes() == weights.tobytes()
 
 
 def test_quantize_weight_sum_exact():
