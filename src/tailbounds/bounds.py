@@ -227,8 +227,8 @@ def _require_centered(state: _MeasureState, inequality: str) -> None:
 
 
 class _MeasureState:
-    """A measure with its mean, atom norms, second moment, operator, inverse
-    and sorted statistics (S x, x) and (S^{-1} x, x).
+    """A measure with its mean, atom norms, second moment, operator, inverse,
+    sorted statistics ||x||, (S x, x) and (S^{-1} x, x), and centered state.
 
     Each is computed on first use (a failed inversion too, whose error is
     raised again) and shared by every inequality and epsilon evaluated on it.
@@ -248,6 +248,19 @@ class _MeasureState:
     @cached_property
     def second_moment(self) -> float:
         return _moment_from_norms(self.measure.weights, self.norms)
+
+    @cached_property
+    def centered(self) -> _MeasureState:
+        """The state of the measure minus its mean: this state when the mean is
+        exactly zero, so there euclidean and scalar share grenander's sorted norms."""
+        if not self.mean.any():
+            return self
+        return _MeasureState(replace(self.measure, atoms=self.measure.atoms - self.mean))
+
+    @cached_property
+    def sorted_norms(self) -> tuple[np.ndarray, np.ndarray]:
+        """||x|| for every atom x, sorted, with the tail sums of the weights."""
+        return _sorted_tails(self.norms, self.measure.weights)
 
     @cached_property
     def operator(self) -> CovarianceOperator:
@@ -289,22 +302,18 @@ def _norm_detail(interval) -> dict:
 def _prepare_scalar(state: _MeasureState) -> _Prepared:
     if state.measure.space.dim != 1:
         raise ShapeError(f"scalar bound needs dim = 1, got {state.measure.space.dim}")
-    # at dim 1 the 2-norm of x - m is |x - m| bit for bit
-    return replace(_prepare_euclidean(state), inequality=SCALAR)
+    # at dim 1 every p-norm of x - m is |x - m| bit for bit
+    return replace(_prepare_grenander(state.centered), inequality=SCALAR)
 
 
 def _prepare_euclidean(state: _MeasureState) -> _Prepared:
-    measure = state.measure
-    deviations = p_norm_rows(measure.atoms - state.mean, 2.0)
-    variance = _exact_sum(measure.weights * deviations**2)
-    sorted_tails = _sorted_tails(deviations, measure.weights)
-    return _Prepared(EUCLIDEAN, *sorted_tails, False, variance, 2, {})
+    # Chebyshev's bound on X is Grenander's on X - EX
+    return replace(_prepare_grenander(state.centered), inequality=EUCLIDEAN)
 
 
 def _prepare_grenander(state: _MeasureState) -> _Prepared:
     # at p = 2 the exponent is 2 in either role
-    sorted_tails = _sorted_tails(state.norms, state.measure.weights)
-    return _Prepared(GRENANDER, *sorted_tails, False, state.second_moment, 2, {})
+    return _Prepared(GRENANDER, *state.sorted_norms, False, state.second_moment, 2, {})
 
 
 def _prepare_chen(state: _MeasureState) -> _Prepared:
@@ -488,31 +497,29 @@ def _mc_prepare(sampler, statistic, operator, n_draws, seed=None) -> _Prepared:
         raise ValueError(f"statistic must be one of {MC_STATISTICS}, got {statistic!r}")
     if n_draws < MC_MIN_DRAWS:
         raise ValueError(f"n_draws must be at least {MC_MIN_DRAWS}, got {n_draws}")
+    if statistic == "norm":
+        if operator is not None:
+            raise ValueError("statistic 'norm' takes no operator")
+    elif not isinstance(operator, CovarianceOperator if statistic == "quad_S" else InverseOperator):
+        kind = "covariance" if statistic == "quad_S" else "inverse"
+        raise ValueError(f"statistic {statistic!r} needs the {kind} operator")
+    elif operator.space.dim != sampler.space.dim:
+        raise ShapeError("sampler and operator dimensions differ")
     if seed is not None:
         sampler = replace(sampler, seed=seed)
     draws = sampler.draw_block(0, n_draws)
 
     detail: dict = {}
     if statistic == "norm":
-        if operator is not None:
-            raise ValueError("statistic 'norm' takes no operator")
         values = p_norm_rows(draws, sampler.space.p)
         scale, power = _exact_sum(values**2) / n_draws, 2
         inequality = GRENANDER
     elif statistic == "quad_S":
-        if not isinstance(operator, CovarianceOperator):
-            raise ValueError("statistic 'quad_S' needs the covariance operator")
-        if operator.space.dim != sampler.space.dim:
-            raise ShapeError("sampler and operator dimensions differ")
         values = _quadratic_values(draws, operator.matrix)
         dual_moment = _exact_sum(p_norm_rows(draws, operator.space.q) ** 2) / n_draws
         scale, power = dual_moment * operator.second_moment, 1
         inequality = BANACH_DUAL
     else:
-        if not isinstance(operator, InverseOperator):
-            raise ValueError("statistic 'mahalanobis_S' needs the inverse operator")
-        if operator.space.dim != sampler.space.dim:
-            raise ShapeError("sampler and operator dimensions differ")
         values = mahalanobis(operator, draws)
         moment = _exact_sum(p_norm_rows(draws, operator.space.p) ** 2) / n_draws
         scale, power = operator.norm_interval.upper**2 * moment**2, 1

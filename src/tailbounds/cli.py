@@ -31,7 +31,7 @@ from .bounds import (
     sort_rows,
 )
 from .covop import cauchy_estimate, invert, load_operator
-from .errors import CenteringError, NotPositiveDefiniteError, TailboundsError
+from .errors import CenteringError, NotPositiveDefiniteError, ShapeError, TailboundsError
 from .hilbert import _equivalence_grid, riesz, verify_ST_equals_SH
 from .measure import _measure_json, load_measure, load_sampler, quantize_draws, save_measure
 from .space import ROLE_PRIMAL, conjugate_exponent, p_norm, p_norm_rows
@@ -174,6 +174,8 @@ def cmd_mc(config: argparse.Namespace) -> int:
     if config.operator_path:
         operator = load_operator(config.operator_path)
     if config.statistic == "mahalanobis_S":
+        if operator.space.dim != sampler.space.dim:  # an input error, singular or not
+            raise ShapeError("sampler and operator dimensions differ")
         try:
             operator = invert(operator)
         except NotPositiveDefiniteError:
@@ -255,35 +257,25 @@ def cmd_reduce(config: argparse.Namespace) -> int:
     if operator_gap > REDUCE_TOL:
         failures.append(f"quadratic forms differ by {operator_gap!r} relative")
     for epsilon, result in zip(config.epsilons, _equivalence_grid(state, config.epsilons)):
-        entry = {
-            "epsilon": epsilon,
-            "forward": {
-                "banach_lhs": result.forward_banach.lhs,
-                "hilbert_lhs": result.forward_hilbert.lhs,
-                "banach_rhs": result.forward_banach.rhs,
-                "hilbert_rhs": result.forward_hilbert.rhs,
-                "rhs_deviation": result.forward_rhs_deviation,
-                "lhs_deviation": result.forward_lhs_deviation,
-                "boundary": result.forward_boundary,
-            },
-            "inverse": {
-                "banach_lhs": result.inverse_banach.lhs,
-                "hilbert_lhs": result.inverse_hilbert.lhs,
-                "banach_rhs": result.inverse_banach.rhs,
-                "hilbert_rhs": result.inverse_hilbert.rhs,
-                "rhs_deviation": result.inverse_rhs_deviation,
-                "lhs_deviation": result.inverse_lhs_deviation,
-                "boundary": result.inverse_boundary,
-            },
-        }
-        entries.append(entry)
+        entry = {"epsilon": epsilon}
         for side in ("forward", "inverse"):
-            if entry[side]["rhs_deviation"] > REDUCE_TOL:
+            banach, hilbert = getattr(result, f"{side}_banach"), getattr(result, f"{side}_hilbert")
+            entry[side] = fields = {
+                "banach_lhs": banach.lhs,
+                "hilbert_lhs": hilbert.lhs,
+                "banach_rhs": banach.rhs,
+                "hilbert_rhs": hilbert.rhs,
+                "rhs_deviation": getattr(result, f"{side}_rhs_deviation"),
+                "lhs_deviation": getattr(result, f"{side}_lhs_deviation"),
+                "boundary": getattr(result, f"{side}_boundary"),
+            }
+            if fields["rhs_deviation"] > REDUCE_TOL:
                 failures.append(f"{side} RHS deviates at epsilon {epsilon}")
             # on a boundary collision the events differ by construction,
             # so only the RHS equality is asserted there
-            if not entry[side]["boundary"] and entry[side]["lhs_deviation"] > REDUCE_TOL:
+            if not fields["boundary"] and fields["lhs_deviation"] > REDUCE_TOL:
                 failures.append(f"{side} LHS deviates at epsilon {epsilon}")
+        entries.append(entry)
 
     document = {
         "dim": measure.space.dim,

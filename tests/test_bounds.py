@@ -29,14 +29,17 @@ from tailbounds import (
     sweep,
 )
 from tailbounds.bounds import (
+    EUCLIDEAN,
     EXACT_ENUMERATION,
     INEQUALITIES,
     MONTE_CARLO,
     REPORT_FIELDS,
+    SCALAR,
     _evaluate_grid,
     _MeasureState,
     _mc_prepare,
     _prepare,
+    _Prepared,
     report_to_row,
     rows_from_csv,
     rows_to_csv,
@@ -52,7 +55,9 @@ from tailbounds.errors import (
     RoleError,
     ShapeError,
 )
-from tailbounds.measure import GAUSSIAN, SYMMETRIC_ATOMS, UNIFORM_BALL, mean
+from tailbounds.measure import (
+    GAUSSIAN, SYMMETRIC_ATOMS, UNIFORM_BALL, _exact_sum, _sorted_tails, mean,
+)
 from tailbounds.space import ROLE_DUAL, p_norm_rows
 
 from conftest import EXPONENTS, random_measure
@@ -113,6 +118,49 @@ def test_grenander_examples():
 
     with pytest.raises(ApplicabilityError):
         grenander(signs_measure(2, p=3.0), 1.0)
+
+
+def _centered_cases():
+    """(name, measure) pairs for the euclidean and scalar oracle test."""
+    rng = np.random.default_rng(211)
+    for dim, exponents in ((1, EXPONENTS), (3, (2.0,))):
+        half = rng.standard_normal((6, dim)) * rng.uniform(0.5, 3.0)
+        centered = np.concatenate([half, -half])
+        nearly = centered.copy()
+        nearly[0] += 1e-12  # the mean moves by 1e-12 / 12
+        shifted = centered + rng.uniform(-2.0, 2.0, dim)
+        uniform = np.full(12, 1 / 12)
+        name = SCALAR if dim == 1 else EUCLIDEAN
+        for p in exponents:
+            for role in ("primal", "dual"):
+                for atoms in (centered, nearly, shifted):
+                    yield name, DiscreteMeasure(PNormSpace(dim, p), atoms, uniform, role)
+        space = PNormSpace(dim, 2.0)
+        signed_zero = np.concatenate([half, -half, np.full((1, dim), -0.0)])
+        yield name, DiscreteMeasure(space, signed_zero, np.full(13, 1 / 13))
+        zero_weight = np.concatenate([shifted, half[:2] * 5.0])
+        yield name, DiscreteMeasure(space, zero_weight, np.r_[uniform, 0.0, 0.0])
+        repeated = np.concatenate([shifted[:3]] * 4)
+        weights = rng.dirichlet(np.ones(12))
+        yield name, DiscreteMeasure(space, repeated, weights)
+        order = rng.permutation(12)
+        yield name, DiscreteMeasure(space, repeated[order], weights[order])
+
+
+@pytest.mark.parametrize("name, measure", list(_centered_cases()))
+def test_centered_bounds_match_the_deviation_formula(name, measure):
+    """euclidean and scalar read grenander's statistic on the centered measure's
+    state; the formula they were computed with before stays the reference."""
+    deviations = p_norm_rows(measure.atoms - mean(measure), 2.0)
+    variance = _exact_sum(measure.weights * deviations**2)
+    values, tails = _sorted_tails(deviations, measure.weights)
+    prepared = _prepare(name, _MeasureState(measure))
+    assert prepared.values.tobytes() == values.tobytes()
+    assert prepared.tails.tobytes() == tails.tobytes()
+    assert (prepared.scale, prepared.power, prepared.strict) == (variance, 2, False)
+    grid = np.concatenate([values[values > 0.0], np.geomspace(1e-3, 1e3, 13)])
+    reference = _Prepared(name, values, tails, False, variance, 2, {})
+    assert _evaluate_grid(prepared, np.unique(grid)) == _evaluate_grid(reference, np.unique(grid))
 
 
 def test_chen_examples():
@@ -391,6 +439,26 @@ def test_mc_tail_validation():
         mc_tail(sampler, "quad_S", None, 1.0, 500)
     with pytest.raises(ValueError):
         mc_tail(sampler, "mahalanobis_S", op, 1.0, 500)
+
+
+def test_mc_usage_errors_draw_nothing(monkeypatch):
+    sampler = Sampler(space=PNormSpace(3, 2.0), family=GAUSSIAN, seed=0)
+    operator = build(signs_measure(3))
+    wide = build(signs_measure(4))
+    blocks = []
+    monkeypatch.setattr(Sampler, "draw_block", lambda self, start, count: blocks.append(count))
+    cases = (
+        ("norm", operator, ValueError, "statistic 'norm' takes no operator"),
+        ("quad_S", None, ValueError, "statistic 'quad_S' needs the covariance operator"),
+        ("quad_S", invert(operator), ValueError, "needs the covariance operator"),
+        ("mahalanobis_S", operator, ValueError, "statistic 'mahalanobis_S' needs the inverse"),
+        ("quad_S", wide, ShapeError, "sampler and operator dimensions differ"),
+        ("mahalanobis_S", invert(wide), ShapeError, "sampler and operator dimensions differ"),
+    )
+    for statistic, given, error, message in cases:
+        with pytest.raises(error, match=message):
+            mc_tail(sampler, statistic, given, 1.0, 1_000_000)
+    assert blocks == []
 
 
 def _mc_cases(n_draws: int):

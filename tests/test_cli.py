@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -192,6 +193,20 @@ def test_verify_missing_file_exit_1(capsys):
     code, _, err = run(capsys, "verify", "--input", "/nonexistent.json", "--epsilon", "1.0")
     assert code == 1
     assert err != ""
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
+@pytest.mark.parametrize("inequality", ["all", "scalar", "euclidean"])
+def test_verify_overflowing_deviations_exit_1(inequality, tmp_path, capsys):
+    """x - EX leaves the float range: an input error, whichever check sees it.
+    numpy warns of the overflow first, as the command line shows."""
+    path = tmp_path / "huge.json"
+    save_measure(DiscreteMeasure(PNormSpace(1, 2.0), [[-1.79e308], [1.5e307]], [0.01, 0.99]), path)
+    code, out, err = run(
+        capsys, "verify", "--input", str(path), "--epsilon", "1.0", "--inequality", inequality
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_requires_epsilon_or_grid(signs_path, capsys):
@@ -479,6 +494,56 @@ def test_reduce_failed_identity_exits_2(signs_path, capsys, monkeypatch):
     assert code == 2
     assert json.loads(out)["failures"] == ["quadratic forms differ by 1.0 relative"]
     assert err == "violation: quadratic forms differ by 1.0 relative\n"
+
+
+def test_reduce_names_each_deviating_side(signs_path, capsys, monkeypatch):
+    """Each side's RHS and LHS deviations are checked apart, in that order, and
+    an LHS deviation on a boundary collision is not a failure."""
+    tol = tailbounds.cli.REDUCE_TOL
+    deviations = [  # (rhs, lhs, boundary) of the forward, then the inverse side
+        ((2 * tol, 3 * tol, False), (0.0, 0.0, False)),
+        ((0.0, 0.5, True), (0.0, 0.5, False)),
+        ((tol, tol, False), (1.0, 1.0, True)),
+        ((0.0, 0.0, False), (0.25, 0.0, False)),
+    ]
+
+    def fabricated(state, epsilons):
+        results = []
+        for epsilon, sides in zip(epsilons, deviations):
+            fields = {}
+            for side, (rhs, lhs, boundary) in zip(("forward", "inverse"), sides):
+                fields[f"{side}_banach"] = SimpleNamespace(lhs=0.5, rhs=epsilon)
+                fields[f"{side}_hilbert"] = SimpleNamespace(lhs=0.25, rhs=2 * epsilon)
+                fields[f"{side}_rhs_deviation"] = rhs
+                fields[f"{side}_lhs_deviation"] = lhs
+                fields[f"{side}_boundary"] = boundary
+            results.append(SimpleNamespace(**fields))
+        return results
+
+    monkeypatch.setattr(tailbounds.cli, "_equivalence_grid", fabricated)
+    grid = parse_grid("0.3:3:4,log")
+    code, out, err = run(capsys, "reduce", "--input", signs_path, "--grid", "0.3:3:4,log")
+    failures = [
+        f"forward RHS deviates at epsilon {grid[0]}",
+        f"forward LHS deviates at epsilon {grid[0]}",
+        f"inverse LHS deviates at epsilon {grid[1]}",
+        f"inverse RHS deviates at epsilon {grid[2]}",
+        f"inverse RHS deviates at epsilon {grid[3]}",
+    ]
+    assert code == 2
+    assert err == "".join(f"violation: {failure}\n" for failure in failures)
+    document = json.loads(out)
+    assert document["failures"] == failures
+    for entry, epsilon, sides in zip(document["equivalence"], grid, deviations):
+        assert list(entry) == ["epsilon", "forward", "inverse"]
+        assert entry["epsilon"] == epsilon
+        for side, (rhs, lhs, boundary) in zip(("forward", "inverse"), sides):
+            assert entry[side] == {
+                "banach_lhs": 0.5, "hilbert_lhs": 0.25, "banach_rhs": epsilon,
+                "hilbert_rhs": 2 * epsilon, "rhs_deviation": rhs, "lhs_deviation": lhs,
+                "boundary": boundary,
+            }
+            assert list(entry[side]) == list(entry["forward"])
 
 
 def dual_functionals(dim: int) -> DiscreteMeasure:

@@ -263,6 +263,25 @@ def test_mc_singular_operator_skips_every_epsilon(mc_inputs, tmp_path, capsys, m
         assert row["lhs"] is None and row["rhs"] is None
 
 
+def test_mc_mismatched_singular_operator_is_an_input_error(
+    mc_inputs, tmp_path, capsys, monkeypatch
+):
+    """A dimension mismatch is refused before the operator is inverted or the
+    sample drawn, whether the operator is definite or not."""
+    _, sampler_path, _ = mc_inputs
+    singular = CovarianceOperator(np.diag([1.0, 0.5, 0.0, 2.0]), PNormSpace(4, 2.0), 3.5)
+    operator_path = tmp_path / "singular4.json"
+    save_operator(singular, operator_path)
+    blocks = count_draws(monkeypatch)
+    inverts = count_calls(monkeypatch, "invert")
+    code, out, err = run(
+        capsys, "mc", "--input", sampler_path, "--statistic", "mahalanobis_S",
+        "--operator", operator_path, "--grid", GRID, "--draws", 300,
+    )
+    assert (code, out, err) == (1, "", "error: sampler and operator dimensions differ\n")
+    assert (blocks, inverts) == ([], [])
+
+
 def test_quantize_matches_separately_drawn_outputs(tmp_path, capsys, monkeypatch):
     sampler = Sampler(space=PNormSpace(3, 3.0), family=UNIFORM_BALL, seed=2)
     sampler_path = tmp_path / "s.json"
@@ -352,7 +371,44 @@ def test_verify_all_takes_the_atom_norms_and_moment_once(tmp_path, capsys, monke
         "--format", "csv",
     )
     assert (code, err) == (0, "")
-    # the shared norms and euclidean's deviations from the mean (here the
-    # atoms, as the mean is zero); the Mahalanobis clamp meets no negative value
-    assert len(norm_rows) == 2
-    assert all(np.array_equal(rows, measure.atoms) for rows in norm_rows)
+    # one pass: the mean is exactly zero, so euclidean reads grenander's norms
+    # of its own centered state; the Mahalanobis clamp meets no negative value
+    assert len(norm_rows) == 1
+    assert np.array_equal(norm_rows[0], measure.atoms)
+
+
+def uncentered_pairs(dim: int, p: float) -> DiscreteMeasure:
+    measure = centered_pairs(dim, p)
+    return replace(measure, atoms=measure.atoms + np.linspace(0.25, 1.0, dim))
+
+
+@pytest.mark.parametrize(
+    "measure, sorts, constructed",
+    [
+        # grenander's norms, also euclidean's, then (S x, x) and (S^-1 x, x)
+        (centered_pairs(3, 2.0), 3, ["primal"]),
+        # euclidean sorts the norms of the measure's centered copy
+        (uncentered_pairs(3, 2.0), 4, ["primal", "primal"]),
+    ],
+    ids=["centered", "uncentered"],
+)
+def test_verify_all_sorts_each_statistic_once(
+    measure, sorts, constructed, tmp_path, capsys, monkeypatch
+):
+    path = tmp_path / "m.json"
+    save_measure(measure, path)
+    sorted_tails = count_calls(monkeypatch, "_sorted_tails", tailbounds.measure)
+    original = DiscreteMeasure.__post_init__
+    roles = []
+
+    def counted(self):
+        roles.append(self.role)
+        original(self)
+
+    monkeypatch.setattr(DiscreteMeasure, "__post_init__", counted)
+    code, out, err = run(
+        capsys, "verify", "--input", path, "--inequality", "all", "--grid", GRID,
+        "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    assert (len(sorted_tails), roles) == (sorts, constructed)
