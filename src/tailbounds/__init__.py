@@ -67,7 +67,6 @@ from .measure import (
     load_measure,
     load_sampler,
     mean,
-    pushforward,
     quantize,
     quantize_points,
     save_measure,
@@ -84,4 +83,4 @@ from .space import (
     pair,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

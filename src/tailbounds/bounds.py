@@ -184,11 +184,14 @@ def _evaluate_grid(prepared: _Prepared, epsilons) -> list[dict]:
     epsilons = grid.tolist()
     try:
         rhs = np.array([prepared.scale / epsilon**prepared.power for epsilon in epsilons])
-    except (ZeroDivisionError, OverflowError):  # eps**power left the float range
+        overflow = f"{prepared.scale!r} / epsilon**{prepared.power}" if np.isinf(rhs).any() else ""
+    except (ZeroDivisionError, OverflowError):
+        overflow = f"epsilon**{prepared.power}"
+    if overflow:  # eps**power, or c / eps**power, left the float range
         raise ValueError(
-            f"epsilon**{prepared.power} leaves the float range for an epsilon "
+            f"{overflow} leaves the float range for an epsilon "
             f"in [{epsilons[0]!r}, {epsilons[-1]!r}]"
-        ) from None
+        )
     method, half_width = EXACT_ENUMERATION, np.zeros(len(epsilons))
     if prepared.draws:
         lhs /= prepared.draws
@@ -255,7 +258,9 @@ class _MeasureState:
         exactly zero, so there euclidean and scalar share grenander's sorted norms."""
         if not self.mean.any():
             return self
-        return _MeasureState(replace(self.measure, atoms=self.measure.atoms - self.mean))
+        with np.errstate(over="ignore"):  # an overflow is the measure's own finiteness error
+            atoms = self.measure.atoms - self.mean
+        return _MeasureState(replace(self.measure, atoms=atoms))
 
     @cached_property
     def sorted_norms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -301,7 +306,7 @@ def _norm_detail(interval) -> dict:
 
 def _prepare_scalar(state: _MeasureState) -> _Prepared:
     if state.measure.space.dim != 1:
-        raise ShapeError(f"scalar bound needs dim = 1, got {state.measure.space.dim}")
+        raise ApplicabilityError(f"scalar bound needs dim = 1, got {state.measure.space.dim}")
     # at dim 1 every p-norm of x - m is |x - m| bit for bit
     return replace(_prepare_grenander(state.centered), inequality=SCALAR)
 

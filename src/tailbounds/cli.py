@@ -18,7 +18,6 @@ from dataclasses import replace
 import numpy as np
 
 from .bounds import (
-    HILBERT_ONLY,
     INEQUALITIES,
     REPORT_FIELDS,
     SCALAR,
@@ -31,7 +30,9 @@ from .bounds import (
     sort_rows,
 )
 from .covop import cauchy_estimate, invert, load_operator
-from .errors import CenteringError, NotPositiveDefiniteError, ShapeError, TailboundsError
+from .errors import (
+    ApplicabilityError, CenteringError, NotPositiveDefiniteError, ShapeError, TailboundsError,
+)
 from .hilbert import _equivalence_grid, riesz, verify_ST_equals_SH
 from .measure import _measure_json, load_measure, load_sampler, quantize_draws, save_measure
 from .space import ROLE_PRIMAL, conjugate_exponent, p_norm, p_norm_rows
@@ -105,14 +106,6 @@ def _skip_row(inequality: str, epsilon: float, reason: str) -> dict:
     return row
 
 
-def _static_skip_reason(inequality: str, measure) -> str | None:
-    if inequality == SCALAR and measure.space.dim != 1:
-        return SKIP_NEEDS_DIM1
-    if inequality in HILBERT_ONLY and measure.space.p != 2.0:
-        return SKIP_NEEDS_P2
-    return None
-
-
 def _emit(config: argparse.Namespace, text: str) -> None:
     if config.out:
         with open(config.out, "w") as fh:
@@ -148,14 +141,14 @@ def cmd_verify(config: argparse.Namespace) -> int:
     state = _MeasureState(measure)
     rows: list = []
     for name in names:
-        reason = _static_skip_reason(name, measure)
-        if reason is not None:
-            if config.inequality == "all":
-                continue  # "all" means all applicable
-            rows.extend(_skip_row(name, eps, reason) for eps in config.epsilons)
-            continue
         try:
             prepared = _prepare(name, state, pstar)
+        except ApplicabilityError:
+            if config.inequality == "all":
+                continue  # "all" means all applicable
+            reason = SKIP_NEEDS_DIM1 if name == SCALAR else SKIP_NEEDS_P2
+            rows.extend(_skip_row(name, eps, reason) for eps in config.epsilons)
+            continue
         except NotPositiveDefiniteError:
             rows.extend(_skip_row(name, eps, SKIP_NOT_PD) for eps in config.epsilons)
             continue
@@ -247,8 +240,8 @@ def cmd_reduce(config: argparse.Namespace) -> int:
     operator_gap = verify_ST_equals_SH(
         measure, transport, seed=config.seed, operator=state.operator
     )
-    # identity gram: the quadratic-form matrix and its inverse are these, and
-    # the Riesz image is the measure, so both transported moments are this one
+    # the Riesz map is the identity: the quadratic-form matrix and its inverse
+    # are these, and both transported moments are this one
     inverse_norm = state.inverse.norm_interval.upper
     moment = state.operator.second_moment
 

@@ -41,25 +41,23 @@ MAHALANOBIS_CLAMP = 1e-10
 CHECK_SLACK = 1e-10
 
 
-def accumulate_outer(left: np.ndarray, right: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_i w_i left_i right_i^T, each entry the correctly rounded sum of w_i (l_ia r_ib).
+def accumulate_outer(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_i w_i x_i x_i^T, each entry the correctly rounded sum of w_i (x_ia x_ib).
 
     The terms are made one block of atoms at a time, so the n x d x d array
-    of all of them never exists.  When left is right the matrix is
-    symmetric, so only its upper triangle is summed.
+    of all of them never exists.  The matrix is symmetric, so only its upper
+    triangle is summed.
     """
-    d = left.shape[1]
-    symmetric = left is right
-    rows, cols = np.triu_indices(d) if symmetric else np.indices((d, d)).reshape(2, -1)
+    d = points.shape[1]
+    rows, cols = np.triu_indices(d)
     step = max(256, 2**14 // len(rows))  # atoms per block: cache-sized, few numpy calls
     sums = _exact_sum(
-        weights[i : i + step] * (left.T[rows, i : i + step] * right.T[cols, i : i + step])
+        weights[i : i + step] * (points.T[rows, i : i + step] * points.T[cols, i : i + step])
         for i in range(0, len(weights), step)
     )
     matrix = np.empty((d, d))
     matrix[rows, cols] = sums
-    if symmetric:
-        matrix[cols, rows] = sums
+    matrix[cols, rows] = sums
     return matrix
 
 
@@ -137,7 +135,7 @@ def build(measure: DiscreteMeasure, *, _moment_of=second_moment) -> CovarianceOp
     """
     if measure.role != ROLE_PRIMAL:
         raise RoleError("the second-moment operator is built from a primal measure")
-    matrix = accumulate_outer(measure.atoms, measure.atoms, measure.weights)
+    matrix = accumulate_outer(measure.atoms, measure.weights)
     return CovarianceOperator(matrix, measure.space, _moment_of(measure))
 
 

@@ -2,11 +2,10 @@
 numerical equality of the dual-space bounds with the quadratic-form bounds.
 
 At p = 2 the dual pairing is an inner product, so the functional f = Tx with
-Tx(y) = (y, x)_H identifies the space with its dual.  With the default
-identity gram T is literally the identity matrix: the Riesz image of a
-measure is the measure itself read as functionals, with no atom moved or
-merged, and every identity below holds with the same floating-point numbers
-on both sides.  A non-identity gram exercises the isometry nontrivially.
+Tx(y) = (y, x)_H identifies the space with its dual.  In the coordinates used
+here T is the identity: the Riesz image of a measure is the measure itself
+read as functionals, with no atom moved or merged, and every identity below
+holds with the same floating-point numbers on both sides.
 """
 
 from __future__ import annotations
@@ -27,70 +26,41 @@ from .bounds import (
     _require_centered,
     _require_hilbert,
 )
-from .covop import CovarianceOperator, _quadratic_values, accumulate_outer, build, invert
+from .covop import CovarianceOperator, accumulate_outer, build, invert
 from .errors import ApplicabilityError, RoleError, ShapeError
-from .measure import DiscreteMeasure, _exact_sum, pushforward, second_moment
-from .space import PNormSpace, ROLE_DUAL, ROLE_PRIMAL, _coords
-
-GRAM_EIGENVALUE_FLOOR = 1e-12  # relative to the trace
-EQUALITY_TOL = 1e-12
+from .measure import DiscreteMeasure, second_moment
+from .space import PNormSpace, ROLE_PRIMAL, _coords
 
 
 @dataclass(frozen=True, eq=False)
 class RieszMap:
-    """The identification x -> Gx of the space with its dual at p = 2.
+    """The identification x -> Tx of a p = 2 space with its dual.
 
-    G is the gram matrix of the inner product: (x, y)_H = x^T G y, the
-    functional Tx has coordinates Gx, and ||Tx||* computed in the
-    G^{-1}-weighted dual norm equals ||x||_G exactly in exact arithmetic.
+    (x, y)_H = <x, y>, so the functional Tx has the coordinates of x.
     """
 
-    gram: np.ndarray
+    space: PNormSpace
 
     def __post_init__(self):
-        g = np.asarray(self.gram, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ShapeError(f"gram must be square, got shape {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("gram entries must be finite")
-        if float(np.abs(g - g.T).max()) > 1e-12 * max(1.0, float(np.abs(g).max())):
-            raise ValueError("gram must be symmetric")
-        eigenvalues = np.linalg.eigvalsh(g)
-        if eigenvalues[0] <= GRAM_EIGENVALUE_FLOOR * max(float(np.trace(g)), 0.0):
-            raise ValueError(f"gram must be positive definite, got eigenvalue {eigenvalues[0]!r}")
-        object.__setattr__(self, "gram", g)
+        if not isinstance(self.space, PNormSpace):
+            raise TypeError(f"space must be a PNormSpace, got {type(self.space).__name__}")
+        if self.space.p != 2.0:
+            raise ApplicabilityError(
+                f"the Riesz identification needs p = 2, got p = {self.space.p}"
+            )
 
     @property
     def dim(self) -> int:
-        return self.gram.shape[0]
-
-    @property
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.gram, np.eye(self.dim)))
+        return self.space.dim
 
     def apply(self, x) -> np.ndarray:
-        """Coordinates of the functional Tx."""
-        return self.gram @ _coords(x, self.dim)
-
-    def norm(self, x) -> float:
-        """The G-weighted norm sqrt(x^T G x)."""
-        v = _coords(x, self.dim)
-        return float(np.sqrt(v @ self.gram @ v))
-
-    def dual_norm(self, f) -> float:
-        """The G^{-1}-weighted norm sqrt(f^T G^{-1} f) of a functional."""
-        v = _coords(f, self.dim)
-        return float(np.sqrt(v @ np.linalg.solve(self.gram, v)))
+        """Coordinates of the functional Tx: those of x."""
+        return _coords(x, self.dim)
 
 
-def riesz(space: PNormSpace, gram=None) -> RieszMap:
-    """Riesz map of a p = 2 space; the gram defaults to the identity."""
-    if space.p != 2.0:
-        raise ApplicabilityError(f"the Riesz identification needs p = 2, got p = {space.p}")
-    g = np.eye(space.dim) if gram is None else np.asarray(gram, dtype=float)
-    if g.shape != (space.dim, space.dim):
-        raise ShapeError(f"gram must be ({space.dim}, {space.dim}), got {g.shape}")
-    return RieszMap(g)
+def riesz(space: PNormSpace) -> RieszMap:
+    """Riesz map of a p = 2 space: the identity."""
+    return RieszMap(space)
 
 
 def _require_matching(measure: DiscreteMeasure, transport: RieszMap) -> None:
@@ -101,18 +71,17 @@ def _require_matching(measure: DiscreteMeasure, transport: RieszMap) -> None:
 
 
 def hilbert_covariance(measure: DiscreteMeasure, transport: RieszMap) -> np.ndarray:
-    """Matrix of the quadratic-form operator: sum_i w_i x_i (G x_i)^T.
+    """Matrix of the quadratic-form operator: sum_i w_i x_i (T x_i)^T.
 
-    Built by the same exact accumulation as the dual-space operator, so with
-    the identity gram the two matrices are bitwise equal, which is the
-    matrix-level form of the reduction identity.
+    Built by the same exact accumulation as the dual-space operator, so the
+    two matrices are bitwise equal, which is the matrix-level form of the
+    reduction identity.
     """
     _require_hilbert(measure, "the quadratic-form operator")
     _require_matching(measure, transport)
     if measure.role != ROLE_PRIMAL:
         raise RoleError("the quadratic-form operator is built from a primal measure")
-    images = measure.atoms @ transport.gram
-    return accumulate_outer(measure.atoms, images, measure.weights)
+    return accumulate_outer(measure.atoms, measure.weights)
 
 
 def verify_ST_equals_SH(
@@ -135,8 +104,7 @@ def verify_ST_equals_SH(
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_trials):
-        y = rng.standard_normal(measure.space.dim)
-        f = transport.apply(y)
+        f = rng.standard_normal(measure.space.dim)  # T y for a random y: T is the identity
         via_operator = float(f @ (operator.matrix @ f))
         projections = measure.atoms @ f
         via_atoms = float(np.dot(measure.weights, projections**2))
@@ -149,41 +117,27 @@ def verify_ST_equals_SH(
 def isometry_pushforward_moment(
     measure: DiscreteMeasure, transport: RieszMap
 ) -> tuple[float, float, bool]:
-    """Second moment of the measure against the dual moment of its pushforward.
+    """Second moment of the measure against the dual moment of its Riesz image.
 
-    Returns (lhs, rhs, equal) with equal meaning a relative gap <= 1e-12.
-    With the identity gram both sides are the same computation on the same
-    arrays and agree exactly.
+    Returns (lhs, rhs, equal).  The image is the measure read as functionals,
+    and at p = 2 their q-norms are the atoms' p-norms, so both sides are one
+    computation and agree exactly.
     """
     _require_hilbert(measure, "the moment-transport identity")
     _require_matching(measure, transport)
-    if transport.is_identity:
-        # the pushforward through the identity IS the measure; re-summing it
-        # after merging equal atoms would only inject rounding noise
-        value = second_moment(measure)
-        return value, value, True
-    image = pushforward(measure, transport.gram, role=ROLE_DUAL)
-    lhs = _exact_sum(measure.weights * _quadratic_values(measure.atoms, transport.gram))
-    solved = np.linalg.solve(transport.gram, image.atoms.T).T
-    rhs = _exact_sum(image.weights * np.einsum("ij,ij->i", image.atoms, solved))
-    gap = abs(lhs - rhs)
-    equal = gap <= EQUALITY_TOL * max(abs(lhs), abs(rhs), 1e-300)
-    if lhs == rhs:
-        equal = True
-    return lhs, rhs, equal
+    value = second_moment(measure)
+    return value, value, True
 
 
 def inverse_norm_pair(measure: DiscreteMeasure, transport: RieszMap) -> tuple[float, float]:
     """2->2 norm of the inverse computed through both construction routes.
 
     The first number inverts the dual-space operator, the second inverts the
-    quadratic-form matrix; with the identity gram the inputs are bitwise
-    equal, so the outputs must be equal.
+    quadratic-form matrix; the inputs are bitwise equal, so the outputs
+    must be equal.
     """
     _require_hilbert(measure, "the inverse-norm identity")
     _require_matching(measure, transport)
-    if not transport.is_identity:
-        raise ValueError("the inverse-norm identity is checked with the identity gram")
     inverse = invert(build(measure))
     matrix = hilbert_covariance(measure, transport)
     alternate = CovarianceOperator(matrix, measure.space, second_moment(measure))
@@ -232,11 +186,11 @@ def bound_equivalence(measure: DiscreteMeasure, epsilon: float) -> EquivalenceRe
     """Evaluate the dual-space pair on the measure's Riesz image and the
     quadratic-form pair directly, at the same epsilon.
 
-    With the identity gram the Riesz image is the measure read as
-    functionals, so each pair shares one sorted statistic: (S x, x) forward,
-    (S^{-1} x, x) inverse.  The LHS values are equal bit for bit unless an
-    atom sits exactly on epsilon, where the strict and non-strict events
-    part ways.  The RHS values agree to rounding.
+    The Riesz image is the measure read as functionals, so each pair shares
+    one sorted statistic: (S x, x) forward, (S^{-1} x, x) inverse.  The LHS
+    values are equal bit for bit unless an atom sits exactly on epsilon,
+    where the strict and non-strict events part ways.  The RHS values agree
+    to rounding.
     """
     return _equivalence_grid(_MeasureState(measure), [epsilon])[0]
 

@@ -238,23 +238,6 @@ def empirical(space: PNormSpace, points, role: str = ROLE_PRIMAL) -> DiscreteMea
     return DiscreteMeasure(space, pts, counts / n, role)
 
 
-def pushforward(measure: DiscreteMeasure, matrix, role: str | None = None) -> DiscreteMeasure:
-    """Image measure under x -> matrix @ x, merging exactly equal images."""
-    a = np.asarray(matrix, dtype=float)
-    d = measure.space.dim
-    if a.shape != (d, d):
-        raise ShapeError(f"transport matrix must be ({d}, {d}), got {a.shape}")
-    images = measure.atoms @ a.T
-    unique, inverse, counts = np.unique(
-        images, axis=0, return_inverse=True, return_counts=True
-    )
-    # each merged weight is a difference of two exact tails of the grouped weights
-    _, tails = _sorted_tails(inverse, measure.weights)
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    weights = _rounded(tails[:, starts[:-1]] - tails[:, starts[1:]])
-    return DiscreteMeasure(measure.space, unique, weights, role or measure.role)
-
-
 @dataclass(frozen=True, eq=False)
 class Sampler:
     """Counter-based sampler: draw(i) depends only on (seed, i), never on order.

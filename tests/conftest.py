@@ -42,6 +42,18 @@ def random_measure(
     raise AssertionError("could not draw a positive definite measure")
 
 
+def awkward_measure(rng, dim: int) -> DiscreteMeasure:
+    """Random p = 2 measure with repeated atoms, atoms of zero weight and
+    coordinates spread over e^+-4; at 900 atoms a build sums in several blocks."""
+    n = int(rng.choice([3, 40, 900]))
+    distinct = rng.standard_normal((n, dim)) * np.exp(rng.uniform(-4.0, 4.0, (n, dim)))
+    atoms = distinct[rng.integers(0, n, n)]  # drawn with replacement: repeats
+    weights = rng.uniform(0.0, 1.0, n)
+    weights[rng.random(n) < 0.25] = 0.0
+    weights[0] = 1.0  # at least one atom carries mass
+    return DiscreteMeasure(PNormSpace(dim, 2.0), atoms, weights / weights.sum())
+
+
 def naive_p_norm(vector, p: float) -> float:
     """Straight-line reimplementation used as an independent oracle."""
     if p == math.inf:

@@ -89,7 +89,7 @@ def test_scalar_examples():
 
 
 def test_scalar_rejects_higher_dim():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ApplicabilityError, match="needs dim = 1"):
         scalar_chebyshev(signs_measure(2), 1.0)
 
 
@@ -779,9 +779,10 @@ def test_rows_to_json_matches_the_indenting_encoder():
     assert rows_to_json(iter(rows)) == json.dumps(rows, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("epsilon", [1e-200, 1e200])
+@pytest.mark.parametrize("epsilon", [1e-200, 1e-160, 1e200])
 def test_epsilon_whose_power_leaves_the_float_range_is_a_value_error(epsilon):
-    # eps**2 underflows to 0 or overflows; a grid point inside the range passes
+    # eps**2 underflows to 0 or overflows, or c / eps**2 overflows at a subnormal
+    # eps**2; a grid point inside the range passes
     with pytest.raises(ValueError, match=r"epsilon\*\*2 leaves the float range"):
         sweep("grenander", signs_measure(2), [epsilon])
     with pytest.raises(ValueError, match=r"epsilon\*\*2 leaves the float range"):

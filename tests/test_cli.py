@@ -195,18 +195,22 @@ def test_verify_missing_file_exit_1(capsys):
     assert err != ""
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
-@pytest.mark.parametrize("inequality", ["all", "scalar", "euclidean"])
-def test_verify_overflowing_deviations_exit_1(inequality, tmp_path, capsys):
-    """x - EX leaves the float range: an input error, whichever check sees it.
-    numpy warns of the overflow first, as the command line shows."""
+def save_huge(tmp_path) -> str:
+    """A dim-1 measure whose deviation x - EX leaves the float range."""
     path = tmp_path / "huge.json"
     save_measure(DiscreteMeasure(PNormSpace(1, 2.0), [[-1.79e308], [1.5e307]], [0.01, 0.99]), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("inequality", ["all", "scalar", "euclidean"])
+def test_verify_overflowing_deviations_exit_1(inequality, tmp_path, capsys):
+    """x - EX leaves the float range: an input error, reported by the measure's
+    own finiteness check with no numpy warning ahead of it."""
     code, out, err = run(
-        capsys, "verify", "--input", str(path), "--epsilon", "1.0", "--inequality", inequality
+        capsys, "verify", "--input", save_huge(tmp_path), "--epsilon", "1.0",
+        "--inequality", inequality,
     )
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (code, out, err) == (1, "", "error: atom coordinates must be finite\n")
 
 
 def test_verify_requires_epsilon_or_grid(signs_path, capsys):
@@ -645,6 +649,36 @@ def test_repeated_main_calls_match_fresh_processes(signs_path, capsys):
         assert fresh.returncode == expected, argv
 
 
+def test_input_errors_print_one_line_in_a_fresh_process(signs_path, sampler_path, tmp_path):
+    """What a terminal shows: the in-process warning filter of the test run
+    does not apply, so a numpy warning would show up here as extra lines."""
+    huge = save_huge(tmp_path)
+    cubic = tmp_path / "cubic.json"
+    save_measure(signs_measure(p=3.0), cubic)
+    operator = tmp_path / "op3.json"
+    save_operator(build(signs_measure(3)), operator)
+    calls = [
+        *(("verify", "--input", huge, "--epsilon", "1.0", "--inequality", name)
+          for name in ("all", "scalar", "euclidean")),
+        *(("verify", "--input", signs_path, "--epsilon", epsilon)
+          for epsilon in ("1e-160", "1e-200", "1e200")),
+        ("reduce", "--input", str(cubic), "--epsilon", "1.0"),
+        ("mc", "--input", sampler_path, "--statistic", "mahalanobis_S",
+         "--operator", str(operator), "--epsilon", "1.0"),
+    ]
+    src = str(Path(tailbounds.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "tailbounds", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (fresh.returncode, fresh.stdout) == (1, ""), argv
+        lines = fresh.stderr.splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].endswith("\n"), (argv, fresh.stderr)
+        assert lines[0].startswith(("error: ", "usage error: ")), (argv, fresh.stderr)
+
+
 def test_flags_a_command_would_ignore_are_usage_errors(signs_path, sampler_path, tmp_path, capsys):
     quantize = ("quantize", "--input", sampler_path, "--samples", "10", "--resolution", "0.5")
     reduce = ("reduce", "--input", signs_path, "--epsilon", "1.0")
@@ -664,11 +698,32 @@ def test_flags_a_command_would_ignore_are_usage_errors(signs_path, sampler_path,
     assert "--operator" in err
 
 
-@pytest.mark.parametrize("epsilon", ["1e-200", "1e200"])
-def test_epsilon_whose_power_leaves_the_float_range_exits_1(signs_path, capsys, epsilon):
+@pytest.mark.parametrize(
+    "epsilon, quotient",
+    [
+        pytest.param("1e-200", False, id="1e-200"),  # epsilon**2 underflows to 0
+        pytest.param("1e200", False, id="1e200"),  # epsilon**2 overflows
+        # epsilon**2 is subnormal and c / epsilon**2 overflows
+        pytest.param("1e-160", True, id="1e-160"),
+        pytest.param("1e-155", True, id="1e-155"),
+    ],
+)
+def test_epsilon_whose_power_leaves_the_float_range_exits_1(
+    signs_path, sampler_path, capsys, epsilon, quotient
+):
+    value = float(epsilon)
+    tail = f"epsilon**2 leaves the float range for an epsilon in [{value!r}, {value!r}]\n"
     code, out, err = run(capsys, "verify", "--input", signs_path, "--epsilon", epsilon)
+    # signs_measure has unit second moment, the c of its bounds
+    assert (code, out, err) == (1, "", "error: " + ("1.0 / " if quotient else "") + tail)
+
+    code, out, err = run(
+        capsys, "mc", "--input", sampler_path, "--statistic", "norm", "--draws", "100",
+        "--epsilon", epsilon,
+    )
     assert (code, out) == (1, "")
-    assert err.startswith("error: epsilon**2 leaves the float range") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.endswith(tail) and err.count("\n") == 1
+    assert (" / epsilon**2" in err) == quotient
 
 
 def _digest(text: str) -> str:

@@ -34,10 +34,10 @@ from tailbounds.errors import (
     RoleError,
     ShapeError,
 )
-from tailbounds.measure import GAUSSIAN
+from tailbounds.measure import GAUSSIAN, _exact_sum
 from tailbounds.space import NormInterval
 
-from conftest import EXPONENTS, random_measure
+from conftest import EXPONENTS, awkward_measure, random_measure
 
 
 def signs_measure(dim: int, p: float = 2.0) -> DiscreteMeasure:
@@ -136,14 +136,39 @@ def test_build_entries_are_fsum_of_their_terms():
 
 def test_accumulate_outer_matches_loop():
     rng = np.random.default_rng(79)
-    left = rng.standard_normal((40, 3))
-    right = rng.standard_normal((40, 3))
+    points = rng.standard_normal((40, 3))
     weights = rng.dirichlet(np.ones(40))
     expected = np.zeros((3, 3))
-    for w, a, b in zip(weights, left, right):
-        expected += w * np.outer(a, b)
-    got = accumulate_outer(left, right, weights)
+    for w, x in zip(weights, points):
+        expected += w * np.outer(x, x)
+    got = accumulate_outer(points, weights)
     assert np.max(np.abs(got - expected)) <= 1e-14
+
+
+def _full_square_accumulation(left, right, weights):
+    """The two-array accumulation accumulate_outer once had: every one of the
+    d * d entries summed on its own, for any pair of point arrays."""
+    d = left.shape[1]
+    rows, cols = np.indices((d, d)).reshape(2, -1)
+    step = max(256, 2**14 // len(rows))
+    sums = _exact_sum(
+        weights[i : i + step] * (left.T[rows, i : i + step] * right.T[cols, i : i + step])
+        for i in range(0, len(weights), step)
+    )
+    matrix = np.empty((d, d))
+    matrix[rows, cols] = sums
+    return matrix
+
+
+def test_accumulate_outer_is_bitwise_the_full_square_accumulation():
+    """Summing the upper triangle and mirroring it gives the same bits as summing
+    all d * d entries, as the quadratic-form route did through images x @ I."""
+    rng = np.random.default_rng(181)
+    for index in range(50):
+        m = awkward_measure(rng, dim=index % 6 + 1)
+        images = m.atoms @ np.eye(m.space.dim)
+        expected = _full_square_accumulation(m.atoms, images, m.weights)
+        assert accumulate_outer(m.atoms, m.weights).tobytes() == expected.tobytes(), index
 
 
 def test_linearity_examples_and_random():

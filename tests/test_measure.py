@@ -13,7 +13,6 @@ from tailbounds import (
     center,
     empirical,
     load_measure,
-    pushforward,
     quantize,
     save_measure,
     second_moment,
@@ -358,34 +357,6 @@ def test_empirical_uniform_weights():
     m = empirical(PNormSpace(2, 2.0), [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
     assert m.n_atoms == 4
     assert np.all(m.weights == 0.25)
-
-
-def test_pushforward_identity_and_scaling():
-    m = signs_measure(2)
-    same = pushforward(m, np.eye(2))
-    assert second_moment(same) == pytest.approx(1.0, abs=1e-15)
-    doubled = pushforward(m, 2.0 * np.eye(2))
-    assert second_moment(doubled) == pytest.approx(4.0, rel=1e-15)
-    assert doubled.weights.sum() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_pushforward_collapses_kernel():
-    m = signs_measure(2)
-    flat = pushforward(m, np.array([[1.0, 0.0], [0.0, 0.0]]))
-    # +-e2 both land on the origin and merge
-    assert flat.n_atoms == 3
-    origin_weight = flat.weights[np.all(flat.atoms == 0.0, axis=1)]
-    assert origin_weight[0] == pytest.approx(0.5, abs=1e-15)
-
-
-def test_pushforward_role_and_shape():
-    m = signs_measure(2)
-    tagged = pushforward(m, np.eye(2), role="dual")
-    assert tagged.role == "dual"
-    with pytest.raises(ShapeError):
-        pushforward(m, np.ones((2, 3)))
-    with pytest.raises(ShapeError):
-        pushforward(m, np.ones((3, 3)))
 
 
 def test_sampler_index_determinism_and_order_independence():

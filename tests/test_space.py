@@ -64,8 +64,6 @@ VECTOR_FUNCTIONS = {
     "linearity_check": lambda op, t, v: linearity_check(op, v, [1.0, 0.0], 2.0, 3.0),
     "pair": lambda op, t, v: pair([1.0, 2.0], v),
     "RieszMap.apply": lambda op, t, v: t.apply(v),
-    "RieszMap.norm": lambda op, t, v: t.norm(v),
-    "RieszMap.dual_norm": lambda op, t, v: t.dual_norm(v),
 }
 
 
