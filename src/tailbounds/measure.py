@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +29,9 @@ FAMILIES = (GAUSSIAN, UNIFORM_BALL, SYMMETRIC_ATOMS)
 _UINT64_MASK = (1 << 64) - 1
 _CHUNK_DRAWS = 256  # draws made whole from one generator key
 _BLOCK_ATOMS = 256  # atoms written per string by _measure_json
+_BLOCK_CHARS = 2**16  # text of atoms or weights parsed per json.loads call by load_measure
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")  # json's whitespace: str.strip also takes \x0c
+_DECODER = json.JSONDecoder()
 
 
 def _slices(terms: np.ndarray):
@@ -201,9 +205,68 @@ def save_measure(measure: DiscreteMeasure, path) -> None:
         fh.writelines(_measure_json(measure))
 
 
+def _after(text: str, i: int, char: str) -> int:
+    """Index past `char`, which must stand at text[i], and the whitespace after it."""
+    if not text.startswith(char, i):
+        raise ValueError(f"expected {char!r} at {i}")
+    return _JSON_SPACE.match(text, i + 1).end()
+
+
+def _read_array(text: str, start: int, separator: str) -> tuple[np.ndarray, int]:
+    """The JSON array at text[start] as a float array, and the index past it.
+
+    It ends at its last ']' before the next '"', and is parsed a block of
+    about _BLOCK_CHARS characters at a time, cut after a `separator`.
+    Nonempty blocks that all parse make the span one valid JSON array
+    wherever the cuts fall; np.concatenate refuses rows of unequal shape.
+    """
+    quote = text.find('"', start)  # the next key, if the array is not the last value
+    end = text.rindex("]", start, len(text) if quote == -1 else quote)
+    blocks, i = [], start + 1
+    while True:
+        cut = text.find(separator, i + _BLOCK_CHARS, end)
+        cut = end if cut == -1 else cut + len(separator) - 1
+        block = np.asarray(json.loads("[" + text[i:cut] + "]"), dtype=float)
+        if not len(block) and (blocks or cut < end):  # a separator without a value
+            raise ValueError(f"empty block at {i}")
+        blocks.append(block)
+        if cut == end:
+            return np.concatenate(blocks), end + 1
+        i = cut + 1
+
+
+def _read_measure_object(text: str) -> dict:
+    """json.loads(text) of one measure object, its atoms and weights as float arrays."""
+    i = _after(text, _JSON_SPACE.match(text).end(), "{")
+    data = {}
+    while True:
+        key, i = _DECODER.raw_decode(text, i)
+        if type(key) is not str:
+            raise ValueError(f"object key {key!r} is not a string")
+        i = _after(text, _JSON_SPACE.match(text, i).end(), ":")
+        if key in ("atoms", "weights") and text.startswith("[", i):
+            data[key], i = _read_array(text, i, "]," if key == "atoms" else ",")
+        else:
+            data[key], i = _DECODER.raw_decode(text, i)
+        i = _JSON_SPACE.match(text, i).end()
+        if text.startswith("}", i) and _after(text, i, "}") == len(text):
+            return data
+        i = _after(text, i, ",")
+
+
 def load_measure(path) -> DiscreteMeasure:
+    """Read a measure file, its atoms and weights a block of rows at a time.
+
+    A text that _read_measure_object does not take goes through json.loads
+    whole, so every error is the one json or from_dict gives.
+    """
     with open(path) as fh:
-        return DiscreteMeasure.from_dict(json.load(fh))
+        text = fh.read()
+    try:
+        data = _read_measure_object(text)
+    except (ValueError, TypeError, OverflowError, RecursionError):
+        data = json.loads(text)
+    return DiscreteMeasure.from_dict(data)
 
 
 def second_moment(measure: DiscreteMeasure) -> float:
@@ -217,7 +280,10 @@ def _moment_from_norms(weights: np.ndarray, norms: np.ndarray) -> float:
 
 
 def mean(measure: DiscreteMeasure) -> np.ndarray:
-    return _exact_sum(measure.weights * measure.atoms.T)
+    """sum_i w_i x_i, each coordinate correctly rounded, summed a block of atoms at a time."""
+    w, x = measure.weights, measure.atoms
+    step = max(256, 2**14 // measure.space.dim)  # atoms per block, as in accumulate_outer
+    return _exact_sum(w[i : i + step] * x[i : i + step].T for i in range(0, len(w), step))
 
 
 def center(measure: DiscreteMeasure) -> DiscreteMeasure:
@@ -225,7 +291,9 @@ def center(measure: DiscreteMeasure) -> DiscreteMeasure:
     m = mean(measure)
     if not m.any():
         return measure
-    return replace(measure, atoms=measure.atoms - m)
+    with np.errstate(over="ignore"):  # an overflow is the measure's own finiteness error
+        atoms = measure.atoms - m
+    return replace(measure, atoms=atoms)
 
 
 def empirical(space: PNormSpace, points, role: str = ROLE_PRIMAL) -> DiscreteMeasure:

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +37,7 @@ from tailbounds.measure import (
 )
 from tailbounds.space import p_norm, p_norm_rows
 
-from conftest import EXPONENTS, random_measure
+from conftest import EXPONENTS, awkward_measure, random_measure
 
 
 def signs_measure(dim: int, p: float = 2.0) -> DiscreteMeasure:
@@ -207,6 +211,68 @@ def test_center_random_measures():
         c = center(m)
         scale = max(1.0, np.abs(m.atoms).max())
         assert np.max(np.abs(mean(c))) <= 1e-12 * scale
+
+
+def test_center_overflow_raises_without_a_warning_in_a_fresh_process():
+    """The suite's filterwarnings = error does not reach a fresh process, where
+    a numpy warning would print its text and source line before the error."""
+    code = (
+        "from tailbounds import DiscreteMeasure, PNormSpace, center\n"
+        "m = DiscreteMeasure(PNormSpace(1, 2.0), [[-1.79e308], [1.5e307]], [0.01, 0.99])\n"
+        "try:\n    center(m)\nexcept ValueError as exc:\n    print(exc)\n"
+    )
+    src = str(Path(tailbounds.measure.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    fresh = subprocess.run([sys.executable, "-W", "default", "-c", code],
+                           capture_output=True, text=True, env=env, timeout=60)
+    assert (fresh.returncode, fresh.stdout) == (0, "atom coordinates must be finite\n")
+    assert "RuntimeWarning" not in fresh.stderr and fresh.stderr == ""
+
+
+def _mean_in_one_block(measure: DiscreteMeasure) -> np.ndarray:
+    """mean as one _exact_sum of the whole (dim, n) term array."""
+    return _exact_sum(measure.weights * measure.atoms.T)
+
+
+def test_mean_in_atom_blocks_is_bitwise_the_one_block_sum():
+    rng = np.random.default_rng(53)
+    measures = [awkward_measure(rng, dim=index % 6 + 1) for index in range(50)]
+    for n in (1, 255, 256, 257, 2048, 2049, 5000):  # around the 256 and 2048 atom blocks
+        for dim in (1, 3, 8, 30):
+            atoms = rng.standard_normal((n, dim)) * np.exp(rng.uniform(-30.0, 30.0, (n, dim)))
+            weights = rng.uniform(0.0, 1.0, n)
+            weights[0] = 1.0
+            measures.append(DiscreteMeasure(PNormSpace(dim, 2.0), atoms, weights / weights.sum()))
+    for m in measures:
+        assert mean(m).tobytes() == _mean_in_one_block(m).tobytes(), m.atoms.shape
+
+
+def test_mean_range_limit_is_per_atom_block():
+    """_exact_sum refuses terms at or above 2**(1022 - headroom), headroom set
+    by how many terms it sums at once.  The one-block sum of 10**4 atoms
+    allowed 2**1009; blocks of 2048 atoms allow 2**1012, so terms of 1.5e304
+    now sum to their correctly rounded total."""
+    rng = np.random.default_rng(59)
+    atoms = rng.standard_normal((10_000, 8))
+    atoms[:, 0] = np.where(rng.random(10_000) < 0.5, -1.5e308, 1.5e308)
+    m = DiscreteMeasure(PNormSpace(8, 2.0), atoms, np.full(10_000, 1e-4))
+    with pytest.raises(ValueError, match=r"below 2\*\*1009 to sum exactly"):
+        _mean_in_one_block(m)
+    terms = (m.weights * m.atoms.T).tolist()
+    assert mean(m).tolist() == [math.fsum(row) for row in terms]
+
+
+def test_mean_peak_is_below_two_atom_arrays():
+    m = DiscreteMeasure(PNormSpace(8, 2.0), np.random.default_rng(61).standard_normal((20_000, 8)),
+                        np.full(20_000, 1.0 / 20_000))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mean(m)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * m.atoms.nbytes
 
 
 def test_grid_indices_examples():
