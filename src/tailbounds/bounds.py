@@ -15,8 +15,6 @@ one-point grid.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -27,6 +25,8 @@ import numpy as np
 from .covop import (
     CovarianceOperator,
     InverseOperator,
+    _check_clamped,
+    _clamp,
     _quadratic_values,
     build,
     invert,
@@ -40,8 +40,8 @@ from .errors import (
     ShapeError,
 )
 from .measure import (
-    DiscreteMeasure, Sampler, _exact_sum, _moment_from_norms, _rounded, _sorted_tails, mean,
-    second_moment,
+    _CHUNK_DRAWS, DiscreteMeasure, Sampler, _exact_sum, _moment_from_norms, _rounded, _sorted_tails,
+    mean, second_moment,
 )
 from .space import ROLE_DUAL, p_norm_rows
 
@@ -72,6 +72,7 @@ MONTE_CARLO = "monte-carlo"
 MC_STATISTICS = ("norm", "quad_S", "mahalanobis_S")
 MC_MIN_DRAWS = 100
 MC_CI_MULTIPLIER = 3.0
+_MOMENT_CHUNKS = 16  # chunks of squared norms per block of the mc moment's exact sum
 
 HOLDS_SLACK = 1e-12
 CENTERING_TOL = 1e-12
@@ -153,8 +154,10 @@ class _Prepared:
     """Per-atom statistic in ascending order, the exact tail sums of its
     weights (see _sorted_tails) and the c/eps^power form of the bound.
 
-    A Monte Carlo statistic has unit weights and `draws` > 0: its tail sum
-    is the count of draws, and the LHS that count / draws.
+    A Monte Carlo sample has `draws` > 0 and is counted on a grid (see
+    _mc_prepare): `values` are the grid's distinct epsilons in ascending
+    order, `tails` one row of the count of draws >= each, then 0, and the
+    LHS is that count / draws.  Only those epsilons can be evaluated.
     """
 
     inequality: str
@@ -180,6 +183,8 @@ def _evaluate_grid(prepared: _Prepared, epsilons) -> list[dict]:
         _check_epsilon(epsilon)
     # the tail starts at the first value > eps (strict) or >= eps
     side = "right" if prepared.strict else "left"
+    if prepared.draws and not np.isin(grid, prepared.values).all():
+        raise ValueError("a Monte Carlo sample is counted only at the epsilons of its grid")
     lhs = _rounded(prepared.tails[:, np.searchsorted(prepared.values, grid, side=side)])
     epsilons = grid.tolist()
     try:
@@ -490,14 +495,26 @@ def mc_tail(
 
     quad_S takes the covariance operator, mahalanobis_S its inverse, norm
     takes no operator.  The half-width 3 sqrt(lhs(1-lhs)/n) is folded into
-    `holds` so sampling noise cannot flag a spurious violation.
+    `holds` so sampling noise cannot flag a spurious violation.  The draws
+    are streamed a chunk at a time and counted at epsilon, never stored.
     """
     epsilon = _check_epsilon(epsilon)
-    return _reports(_mc_prepare(sampler, statistic, operator, n_draws, seed), [epsilon])[0]
+    prepared = _mc_prepare(sampler, statistic, operator, n_draws, [epsilon], seed)
+    return _reports(prepared, [epsilon])[0]
 
 
-def _mc_prepare(sampler, statistic, operator, n_draws, seed=None) -> _Prepared:
-    """mc_tail's statistic on one sample, drawn once, for evaluation on any grid."""
+def _mc_prepare(sampler, statistic, operator, n_draws, epsilons, seed=None) -> _Prepared:
+    """mc_tail's statistic on one sample, counted at the epsilons of a grid.
+
+    The sample is drawn once, one chunk at a time (Sampler._blocks), and no
+    draw is kept: each chunk adds its count of draws per cell of the sorted
+    distinct grid, and the squared norms of _MOMENT_CHUNKS chunks reach the
+    exact moment sum as one block.  Memory is O(chunk + grid) whatever
+    n_draws is.  Counts are integers and the sum is exact, so every grid
+    point reads the report the sorted whole sample gave; no other epsilon
+    can be read.  A mahalanobis error names the lowest value of the whole
+    sample, after the pass.
+    """
     if statistic not in MC_STATISTICS:
         raise ValueError(f"statistic must be one of {MC_STATISTICS}, got {statistic!r}")
     if n_draws < MC_MIN_DRAWS:
@@ -512,32 +529,47 @@ def _mc_prepare(sampler, statistic, operator, n_draws, seed=None) -> _Prepared:
         raise ShapeError("sampler and operator dimensions differ")
     if seed is not None:
         sampler = replace(sampler, seed=seed)
-    draws = sampler.draw_block(0, n_draws)
+    grid = np.unique(np.asarray(epsilons, dtype=float))
+    counts = np.zeros(len(grid) + 1, dtype=np.int64)  # cell k: draws with k grid points <= them
+    lowest, beyond = 0.0, False  # mahalanobis's clamp over the whole sample; a nan stays
+    if statistic == "norm":
+        exponent = sampler.space.p
+    else:
+        exponent = operator.space.q if statistic == "quad_S" else operator.space.p
+
+    def squared_norms():
+        nonlocal counts, lowest, beyond
+        squares = []  # one block per _MOMENT_CHUNKS chunks: few slice passes
+        for i, block in enumerate(sampler._blocks(0, n_draws), 1):
+            # numpy sums a row of a row-major array pairwise, as in draw_block's
+            # array; einsum adds each row's terms in turn in either order
+            norms = p_norm_rows(np.ascontiguousarray(block), exponent)
+            values = norms if statistic == "norm" else _quadratic_values(block, operator.matrix)
+            if statistic == "mahalanobis_S":
+                low, bad = _clamp(operator, block, values)
+                lowest, beyond = float(np.minimum(lowest, low)), beyond or bad
+            cells = grid.searchsorted(values, side="right")
+            counts += np.bincount(cells, minlength=len(counts))
+            squares.append(norms**2)
+            if i % _MOMENT_CHUNKS == 0 or i * _CHUNK_DRAWS >= n_draws:
+                yield np.concatenate(squares)
+                squares = []
+
+    moment = _exact_sum(squared_norms()) / n_draws
+    _check_clamped(lowest, beyond)
+    tails = np.zeros((1, len(counts)))
+    tails[0, :-1] = np.cumsum(counts[:0:-1])[::-1]  # draws >= each grid point
 
     detail: dict = {}
     if statistic == "norm":
-        values = p_norm_rows(draws, sampler.space.p)
-        scale, power = _exact_sum(values**2) / n_draws, 2
-        inequality = GRENANDER
+        scale, power, inequality = moment, 2, GRENANDER
     elif statistic == "quad_S":
-        values = _quadratic_values(draws, operator.matrix)
-        dual_moment = _exact_sum(p_norm_rows(draws, operator.space.q) ** 2) / n_draws
-        scale, power = dual_moment * operator.second_moment, 1
-        inequality = BANACH_DUAL
+        scale, power, inequality = moment * operator.second_moment, 1, BANACH_DUAL
     else:
-        values = mahalanobis(operator, draws)
-        moment = _exact_sum(p_norm_rows(draws, operator.space.p) ** 2) / n_draws
         scale, power = operator.norm_interval.upper**2 * moment**2, 1
         inequality = BANACH_MAHALANOBIS
         detail = _norm_detail(operator.norm_interval)
-
-    return _Prepared(
-        inequality, *_sorted_tails(values, np.ones(n_draws)), False, scale, power, detail, n_draws
-    )
-
-
-def report_to_row(report: BoundReport) -> dict:
-    return {name: getattr(report, name) for name in REPORT_FIELDS}
+    return _Prepared(inequality, grid, tails, False, scale, power, detail, n_draws)
 
 
 def sort_rows(rows) -> list[dict]:
@@ -564,18 +596,6 @@ def rows_to_csv(rows) -> str:
         )
     lines.append("")
     return "\n".join(lines)
-
-
-def rows_from_csv(text: str) -> list[dict]:
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for record in reader:
-        row = dict(record)
-        for name in ("epsilon", "lhs", "ci_halfwidth", "rhs", "slack"):
-            row[name] = float(row[name])
-        row["holds"] = record["holds"] == "true"
-        rows.append(row)
-    return rows
 
 
 def rows_to_json(rows) -> str:

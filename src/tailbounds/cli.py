@@ -174,7 +174,9 @@ def cmd_mc(config: argparse.Namespace) -> int:
         except NotPositiveDefiniteError:
             rows = [_skip_row("banach_mahalanobis", eps, SKIP_NOT_PD) for eps in config.epsilons]
             return _finish_rows(config, rows)
-    prepared = _mc_prepare(sampler, config.statistic, operator, config.draws, seed=config.seed)
+    prepared = _mc_prepare(
+        sampler, config.statistic, operator, config.draws, config.epsilons, seed=config.seed
+    )
     return _finish_rows(config, _evaluate_grid(prepared, config.epsilons))
 
 

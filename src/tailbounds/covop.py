@@ -232,11 +232,27 @@ def mahalanobis(inverse: InverseOperator, y):
     if rows.ndim != 2 or rows.shape[1] != d:
         raise ShapeError(f"expected vectors of dimension {d}, got shape {arr.shape}")
     values = _quadratic_values(rows, inverse.matrix)
-    negative = values < 0.0
-    if negative.any():  # only a negative value's row needs its norm
-        norms = p_norm_rows(rows[negative], inverse.space.p)
-        if np.any(values[negative] < -MAHALANOBIS_CLAMP * norms**2 * inverse.norm_interval.upper):
-            worst = float(values.min())
-            raise ValueError(f"quadratic statistic {worst!r} is negative beyond rounding")
-        values[negative] = 0.0
+    _check_clamped(*_clamp(inverse, rows, values))
     return float(values[0]) if single else values
+
+
+def _clamp(inverse: InverseOperator, rows: np.ndarray, values: np.ndarray) -> tuple[float, bool]:
+    """Set mahalanobis's negative values of the rows to zero, in place.
+
+    Returns the lowest value before that, floored at 0.0, and whether a
+    value lies below zero beyond rounding.
+    """
+    lowest = float(values.min(initial=0.0))
+    negative = values < 0.0
+    if not negative.any():  # only a negative value's row needs its norm
+        return lowest, False
+    norms = p_norm_rows(rows[negative], inverse.space.p)
+    limit = -MAHALANOBIS_CLAMP * norms**2 * inverse.norm_interval.upper
+    beyond = bool(np.any(values[negative] < limit))
+    values[negative] = 0.0
+    return lowest, beyond
+
+
+def _check_clamped(lowest: float, beyond: bool) -> None:
+    if beyond:
+        raise ValueError(f"quadratic statistic {lowest!r} is negative beyond rounding")

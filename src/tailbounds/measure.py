@@ -361,12 +361,25 @@ class Sampler:
         return self.draw_block(index, 1)[0]
 
     def draw_block(self, start: int, count: int) -> np.ndarray:
+        """Draws start to start + count - 1 as the rows of one array (see _blocks)."""
         if start < 0:
             raise ValueError(f"draw index must be nonnegative, got {start}")
         if count < 1:
             raise ValueError(f"count must be positive, got {count}")
         draws = np.empty((count, self.space.dim))
-        stop = start + count
+        at = 0
+        for block in self._blocks(start, start + count):
+            draws[at : at + len(block)] = block
+            at += len(block)
+        return draws
+
+    def _blocks(self, start: int, stop: int):
+        """Draws start to stop - 1 in order, at most one chunk's rows per block.
+
+        Every chunk is made whole and cut to the range; one Philox and its
+        Generator serve all of them, rekeyed per chunk.  A block may be in
+        either memory order (a gaussian chunk is column-major).
+        """
         # Philox(0) fetches no OS entropy; a key set through its state starts
         # from the fresh counter and buffer that Philox(key=...) would
         bits = np.random.Philox(0)
@@ -376,9 +389,8 @@ class Sampler:
             state["state"]["key"] = np.array([self.seed & _UINT64_MASK, chunk], dtype=np.uint64)
             bits.state = state
             first = chunk * _CHUNK_DRAWS
-            lo, hi = max(start, first), min(stop, first + _CHUNK_DRAWS)
-            draws[lo - start : hi - start] = self._draw_chunk(gen)[lo - first : hi - first]
-        return draws
+            lo, hi = max(start, first) - first, min(stop, first + _CHUNK_DRAWS) - first
+            yield self._draw_chunk(gen)[lo:hi]
 
     def _draw_chunk(self, gen: np.random.Generator) -> np.ndarray:
         """The _CHUNK_DRAWS draws of one chunk, made whole from its own generator."""

@@ -1,16 +1,36 @@
-"""Shared test helpers: randomized measures and brute-force norm oracles."""
+"""Shared test helpers: randomized measures, brute-force norm oracles and report rows."""
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
 
 from tailbounds import DiscreteMeasure, PNormSpace, build, invert
+from tailbounds.bounds import REPORT_FIELDS, BoundReport
 from tailbounds.errors import NotPositiveDefiniteError
 from tailbounds.space import p_norm_rows
 
 EXPONENTS = (1.0, 1.5, 2.0, 3.0, math.inf)
+
+
+def report_to_row(report: BoundReport) -> dict:
+    return {name: getattr(report, name) for name in REPORT_FIELDS}
+
+
+def rows_from_csv(text: str) -> list[dict]:
+    """Report rows back from rows_to_csv's text."""
+    reader = csv.DictReader(io.StringIO(text))
+    rows = []
+    for record in reader:
+        row = dict(record)
+        for name in ("epsilon", "lhs", "ci_halfwidth", "rhs", "slack"):
+            row[name] = float(row[name])
+        row["holds"] = record["holds"] == "true"
+        rows.append(row)
+    return rows
 
 
 def random_measure(

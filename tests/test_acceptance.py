@@ -30,11 +30,10 @@ from tailbounds import (
     sweep,
     verify_ST_equals_SH,
 )
-from tailbounds.bounds import report_to_row
 from tailbounds.measure import GAUSSIAN, quantize_points
 from tailbounds.space import p_norm, p_norm_rows
 
-from conftest import EXPONENTS, grid_norm_estimate, random_measure
+from conftest import EXPONENTS, grid_norm_estimate, random_measure, report_to_row
 
 
 def signs_measure(dim: int, p: float = 2.0) -> DiscreteMeasure:

@@ -40,8 +40,6 @@ from tailbounds.bounds import (
     _mc_prepare,
     _prepare,
     _Prepared,
-    report_to_row,
-    rows_from_csv,
     rows_to_csv,
     rows_to_json,
     sort_rows,
@@ -60,7 +58,7 @@ from tailbounds.measure import (
 )
 from tailbounds.space import ROLE_DUAL, p_norm_rows
 
-from conftest import EXPONENTS, random_measure
+from conftest import EXPONENTS, random_measure, report_to_row, rows_from_csv
 
 
 def signs_measure(dim: int, p: float = 2.0, role: str = "primal") -> DiscreteMeasure:
@@ -417,7 +415,7 @@ def test_mc_moments_are_exact_sums(statistic):
         "quad_S": (op, moment(1.5) * op.second_moment),
         "mahalanobis_S": (inv, inv.norm_interval.upper**2 * moment(3.0) ** 2),
     }[statistic]
-    assert _mc_prepare(sampler, statistic, operator, 1000).scale == expected
+    assert _mc_prepare(sampler, statistic, operator, 1000, [1.0]).scale == expected
 
 
 def test_mc_tail_validation():
@@ -446,7 +444,7 @@ def test_mc_usage_errors_draw_nothing(monkeypatch):
     operator = build(signs_measure(3))
     wide = build(signs_measure(4))
     blocks = []
-    monkeypatch.setattr(Sampler, "draw_block", lambda self, start, count: blocks.append(count))
+    monkeypatch.setattr(Sampler, "_blocks", lambda self, start, stop: blocks.append(stop))
     cases = (
         ("norm", operator, ValueError, "statistic 'norm' takes no operator"),
         ("quad_S", None, ValueError, "statistic 'quad_S' needs the covariance operator"),
@@ -508,7 +506,8 @@ def test_mc_grid_matches_the_per_epsilon_count(n_draws):
     # the formula each Monte Carlo report was computed with before the
     # reports came from the sorted statistic's tail sums
     for sampler, statistic, operator, values, scale, power, epsilons in _mc_cases(n_draws):
-        rows = _evaluate_grid(_mc_prepare(sampler, statistic, operator, n_draws), epsilons)
+        prepared = _mc_prepare(sampler, statistic, operator, n_draws, epsilons)
+        rows = _evaluate_grid(prepared, epsilons)
         for row, epsilon in zip(rows, epsilons, strict=True):
             lhs = float(np.count_nonzero(values >= epsilon)) / n_draws
             half_width = 3.0 * math.sqrt(lhs * (1.0 - lhs) / n_draws)

@@ -21,11 +21,12 @@ from tailbounds import (
     save_measure,
     sweep,
 )
-from tailbounds.bounds import report_to_row, rows_from_csv
 from tailbounds.cli import UsageError, _finish_rows, main, parse_grid
 from tailbounds.covop import save_operator
 from tailbounds.errors import ShapeError
 from tailbounds.measure import GAUSSIAN
+
+from conftest import report_to_row, rows_from_csv
 
 
 # stdout digests of the runs in test_golden_output_digests; each also

@@ -41,10 +41,12 @@ from tailbounds import (
     sweep,
     verify_ST_equals_SH,
 )
-from tailbounds.bounds import report_to_row, rows_to_csv, rows_to_json, sort_rows
+from tailbounds.bounds import rows_to_csv, rows_to_json, sort_rows
 from tailbounds.cli import main, parse_grid
 from tailbounds.measure import GAUSSIAN, UNIFORM_BALL
 from tailbounds.space import ROLE_DUAL, conjugate_exponent, p_norm, p_norm_rows
+
+from conftest import report_to_row
 
 GRID = "0.2:6:7,log"
 MODULES = (
@@ -76,15 +78,24 @@ def count_calls(monkeypatch, name: str, home=tailbounds.covop) -> list:
 
 
 def count_draws(monkeypatch) -> list:
-    original = Sampler.draw_block
+    """(first draw, count) of each block the one draw path yields, in order."""
+    original = Sampler._blocks
     blocks = []
 
-    def counted(self, start, count):
-        blocks.append((start, count))
-        return original(self, start, count)
+    def counted(self, start, stop):
+        for block in original(self, start, stop):
+            blocks.append((start, len(block)))
+            start += len(block)
+            yield block
 
-    monkeypatch.setattr(Sampler, "draw_block", counted)
+    monkeypatch.setattr(Sampler, "_blocks", counted)
     return blocks
+
+
+def drawn_once_in_order(n_draws: int) -> list:
+    """count_draws' record of draws 0 to n_draws - 1, each drawn once, in order."""
+    chunk = tailbounds.measure._CHUNK_DRAWS
+    return [(start, min(chunk, n_draws - start)) for start in range(0, n_draws, chunk)]
 
 
 def run(capsys, *argv):
@@ -228,7 +239,7 @@ def test_mc_matches_per_epsilon_calls(statistic, mc_inputs, capsys, monkeypatch)
     inverts = count_calls(monkeypatch, "invert")
     code, out, err = run(capsys, *args)
     assert (code, err) == (0, "")
-    assert blocks == [(0, 300)]
+    assert blocks == drawn_once_in_order(300)
     assert len(inverts) == (statistic == "mahalanobis_S")
 
     monkeypatch.undo()
@@ -293,7 +304,7 @@ def test_quantize_matches_separately_drawn_outputs(tmp_path, capsys, monkeypatch
         "--resolution", 0.05, "--seed", 8, "--out", out_path,
     )
     assert (code, out, err) == (0, "", "")
-    assert blocks == [(0, 400)]
+    assert blocks == drawn_once_in_order(400)
     assert accumulations == []  # the Cauchy check sums S_n f - S_m f from its terms
 
     monkeypatch.undo()
