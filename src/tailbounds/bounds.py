@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,8 +171,22 @@ class _Prepared:
     draws: int = 0
 
 
-def _evaluate_grid(prepared: _Prepared, epsilons) -> list[dict]:
-    """The report rows of one statistic at every epsilon of a grid.
+class _Columns(NamedTuple):
+    """The reports of one statistic on a grid: an array per numeric field and
+    for `holds`, in grid order, with the inequality and method they share."""
+
+    inequality: str
+    epsilon: np.ndarray
+    lhs: np.ndarray
+    ci_halfwidth: np.ndarray
+    rhs: np.ndarray
+    holds: np.ndarray
+    slack: np.ndarray
+    method: str
+
+
+def _evaluate_grid(prepared: _Prepared, epsilons) -> _Columns:
+    """The report columns of one statistic at every epsilon of a grid.
 
     One binary search places the whole grid among the sorted values and one
     pass sums the tail columns it selects, each to its math.fsum.  The RHS
@@ -206,17 +221,26 @@ def _evaluate_grid(prepared: _Prepared, epsilons) -> list[dict]:
         _check_fields(
             prepared.inequality, *(float(extreme(c)) for c in (lhs, half_width, rhs)), method
         )
-    columns = (lhs, half_width, rhs, _holds(lhs, half_width, rhs), rhs - lhs)
+    holds = _holds(lhs, half_width, rhs)
+    return _Columns(prepared.inequality, grid, lhs, half_width, rhs, holds, rhs - lhs, method)
+
+
+def _grid_rows(columns: _Columns) -> list[dict]:
+    """The report rows of a grid's columns, as dicts in REPORT_FIELDS order."""
+    inequality, *middle, method = columns
     return [
-        dict(zip(REPORT_FIELDS, (prepared.inequality, *row, method)))
-        for row in zip(epsilons, *(column.tolist() for column in columns))
+        dict(zip(REPORT_FIELDS, (inequality, *row, method)))
+        for row in zip(*(column.tolist() for column in middle))
     ]
 
 
 def _reports(prepared: _Prepared, epsilons) -> list[BoundReport]:
-    names = ("inequality", "epsilon", "lhs", "ci_halfwidth", "rhs", "method")
-    rows = _evaluate_grid(prepared, epsilons)
-    return [BoundReport(*map(row.__getitem__, names), prepared.detail) for row in rows]
+    columns = _evaluate_grid(prepared, epsilons)
+    fields = (columns.epsilon, columns.lhs, columns.ci_halfwidth, columns.rhs)
+    return [
+        BoundReport(columns.inequality, *row, columns.method, prepared.detail)
+        for row in zip(*(field.tolist() for field in fields))
+    ]
 
 
 def _require_hilbert(measure: DiscreteMeasure, inequality: str) -> None:
@@ -257,12 +281,16 @@ class _MeasureState:
     def second_moment(self) -> float:
         return _moment_from_norms(self.measure.weights, self.norms)
 
-    @cached_property
+    @property
     def centered(self) -> _MeasureState:
         """The state of the measure minus its mean: this state when the mean is
-        exactly zero, so there euclidean and scalar share grenander's sorted norms."""
-        if not self.mean.any():
-            return self
+        exactly zero, so there euclidean and scalar share grenander's sorted norms.
+        Not cached there, so a state holds no reference to itself and is freed
+        as soon as it is dropped."""
+        return self._shifted if self.mean.any() else self
+
+    @cached_property
+    def _shifted(self) -> _MeasureState:
         with np.errstate(over="ignore"):  # an overflow is the measure's own finiteness error
             atoms = self.measure.atoms - self.mean
         return _MeasureState(replace(self.measure, atoms=atoms))
@@ -541,9 +569,7 @@ def _mc_prepare(sampler, statistic, operator, n_draws, epsilons, seed=None) -> _
         nonlocal counts, lowest, beyond
         squares = []  # one block per _MOMENT_CHUNKS chunks: few slice passes
         for i, block in enumerate(sampler._blocks(0, n_draws), 1):
-            # numpy sums a row of a row-major array pairwise, as in draw_block's
-            # array; einsum adds each row's terms in turn in either order
-            norms = p_norm_rows(np.ascontiguousarray(block), exponent)
+            norms = p_norm_rows(block, exponent)
             values = norms if statistic == "norm" else _quadratic_values(block, operator.matrix)
             if statistic == "mahalanobis_S":
                 low, bad = _clamp(operator, block, values)
@@ -577,6 +603,23 @@ def sort_rows(rows) -> list[dict]:
     return sorted(rows, key=lambda row: (row["inequality"], row["epsilon"]))
 
 
+def _csv_texts(groups):
+    """rows_to_csv's text a group of rows at a time: the header, then the lines of each."""
+    yield ",".join(REPORT_FIELDS) + "\n"
+    for rows in groups:
+        lines = []
+        for row in rows:
+            if None in row.values():  # a skipped row carries no numbers
+                row = {name: math.nan if value is None else value for name, value in row.items()}
+            lines.append(
+                "%s,%.17g,%.17g,%.17g,%.17g,%s,%.17g,%s\n" % (
+                    row["inequality"], row["epsilon"], row["lhs"], row["ci_halfwidth"],
+                    row["rhs"], "true" if row["holds"] else "false", row["slack"], row["method"],
+                )
+            )
+        yield "".join(lines)
+
+
 def rows_to_csv(rows) -> str:
     """CSV text of report rows: the REPORT_FIELDS header, then one line per row.
 
@@ -584,27 +627,24 @@ def rows_to_csv(rows) -> str:
     numbers a skipped row lacks (None) as nan.  No cell of a report row
     holds a comma, a quote or a line break, so no cell needs quoting.
     """
-    lines = [",".join(REPORT_FIELDS)]
-    for row in rows:
-        if None in row.values():  # a skipped row carries no numbers
-            row = {name: math.nan if value is None else value for name, value in row.items()}
-        lines.append(
-            "%s,%.17g,%.17g,%.17g,%.17g,%s,%.17g,%s" % (
-                row["inequality"], row["epsilon"], row["lhs"], row["ci_halfwidth"], row["rhs"],
-                "true" if row["holds"] else "false", row["slack"], row["method"],
-            )
-        )
-    lines.append("")
-    return "\n".join(lines)
+    return "".join(_csv_texts([rows]))
 
 
-def rows_to_json(rows) -> str:
-    """The text of json.dumps(list(rows), indent=2) and a newline.
+def _json_texts(groups):
+    """rows_to_json's text a group of rows at a time.
 
     The indenting encoder is pure Python.  A report row is a flat, non-empty
     dict, so the C encoder writes its indented body through the separators.
     """
-    texts = [json.dumps(row, separators=(",\n    ", ": "))[1:-1] for row in rows]
-    if not texts:
-        return "[]\n"
-    return "[\n  {\n    " + "\n  },\n  {\n    ".join(texts) + "\n  }\n]\n"
+    opening = "[\n  {\n    "
+    for rows in groups:
+        texts = [json.dumps(row, separators=(",\n    ", ": "))[1:-1] for row in rows]
+        if texts:
+            yield opening + "\n  },\n  {\n    ".join(texts)
+            opening = "\n  },\n  {\n    "
+    yield "[]\n" if opening.startswith("[") else "\n  }\n]\n"
+
+
+def rows_to_json(rows) -> str:
+    """The text of json.dumps(list(rows), indent=2) and a newline."""
+    return "".join(_json_texts([rows]))

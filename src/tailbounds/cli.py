@@ -21,12 +21,14 @@ from .bounds import (
     INEQUALITIES,
     REPORT_FIELDS,
     SCALAR,
+    _Columns,
+    _csv_texts,
     _evaluate_grid,
+    _grid_rows,
+    _json_texts,
     _MeasureState,
     _mc_prepare,
     _prepare,
-    rows_to_csv,
-    rows_to_json,
     sort_rows,
 )
 from .covop import cauchy_estimate, invert, load_operator
@@ -100,32 +102,52 @@ def _epsilons_from_args(args) -> tuple:
     raise UsageError("one of --epsilon or --grid is required")
 
 
-def _skip_row(inequality: str, epsilon: float, reason: str) -> dict:
-    row = dict.fromkeys(REPORT_FIELDS)  # the fields a skip cannot compute stay None
-    row.update(inequality=inequality, epsilon=float(epsilon), holds=True, method=reason)
-    return row
+def _skip(inequality: str, epsilons, reason: str) -> _Columns:
+    """The rows of an inequality that was not evaluated: no numbers (None),
+    `holds` true and the reason as the method."""
+    none = np.full(len(epsilons), None)
+    return _Columns(
+        inequality, np.array(epsilons, dtype=float), none, none, none,
+        np.full(len(epsilons), True), none, reason,
+    )
 
 
-def _emit(config: argparse.Namespace, text: str) -> None:
+def _emit(config: argparse.Namespace, texts) -> None:
     if config.out:
         with open(config.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(texts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
-def _finish_rows(config: argparse.Namespace, rows: list) -> int:
-    rows = sort_rows(rows)
-    text = rows_to_csv(rows) if config.fmt == "csv" else rows_to_json(rows)
-    _emit(config, text)
-    violations = [row for row in rows if not row["holds"]]
+def _finish_rows(config: argparse.Namespace, grids: list) -> int:
+    """Write the rows of every grid's columns, then a violation line per row
+    that fails; the exit code.
+
+    Rows go out in sort_rows' order, one grid's rows at a time: the grids by
+    inequality (one grid each), a grid's rows stably by epsilon.
+    """
+    violations = []
+
+    def groups():
+        for columns in sorted(grids, key=lambda columns: columns.inequality):
+            rows = sort_rows(_grid_rows(columns))
+            violations.extend(row for row in rows if not row["holds"])
+            yield rows
+
+    _emit(config, (_csv_texts if config.fmt == "csv" else _json_texts)(groups()))
     for row in violations:
         cells = ", ".join(f"{name}={row[name]}" for name in REPORT_FIELDS)
         sys.stderr.write(f"violation: {cells}\n")
     return 2 if violations else 0
 
 
-def cmd_verify(config: argparse.Namespace) -> int:
+def _verify_grids(config: argparse.Namespace) -> list:
+    """The columns of every inequality `verify` was asked for, or its skip rows.
+
+    The measure and its state live only in this call, so they are freed
+    before any text is made.
+    """
     measure = load_measure(config.input)
     if measure.role != ROLE_PRIMAL:
         raise ValueError("verify expects a primal measure as input")
@@ -139,7 +161,7 @@ def cmd_verify(config: argparse.Namespace) -> int:
         )
     pstar = load_measure(config.dual_input) if config.dual_input else None
     state = _MeasureState(measure)
-    rows: list = []
+    grids: list = []
     for name in names:
         try:
             prepared = _prepare(name, state, pstar)
@@ -147,16 +169,20 @@ def cmd_verify(config: argparse.Namespace) -> int:
             if config.inequality == "all":
                 continue  # "all" means all applicable
             reason = SKIP_NEEDS_DIM1 if name == SCALAR else SKIP_NEEDS_P2
-            rows.extend(_skip_row(name, eps, reason) for eps in config.epsilons)
+            grids.append(_skip(name, config.epsilons, reason))
             continue
         except NotPositiveDefiniteError:
-            rows.extend(_skip_row(name, eps, SKIP_NOT_PD) for eps in config.epsilons)
+            grids.append(_skip(name, config.epsilons, SKIP_NOT_PD))
             continue
         except CenteringError:
-            rows.extend(_skip_row(name, eps, SKIP_NOT_CENTERED) for eps in config.epsilons)
+            grids.append(_skip(name, config.epsilons, SKIP_NOT_CENTERED))
             continue
-        rows.extend(_evaluate_grid(prepared, config.epsilons))
-    return _finish_rows(config, rows)
+        grids.append(_evaluate_grid(prepared, config.epsilons))
+    return grids
+
+
+def cmd_verify(config: argparse.Namespace) -> int:
+    return _finish_rows(config, _verify_grids(config))
 
 
 def cmd_mc(config: argparse.Namespace) -> int:
@@ -172,12 +198,11 @@ def cmd_mc(config: argparse.Namespace) -> int:
         try:
             operator = invert(operator)
         except NotPositiveDefiniteError:
-            rows = [_skip_row("banach_mahalanobis", eps, SKIP_NOT_PD) for eps in config.epsilons]
-            return _finish_rows(config, rows)
+            return _finish_rows(config, [_skip("banach_mahalanobis", config.epsilons, SKIP_NOT_PD)])
     prepared = _mc_prepare(
         sampler, config.statistic, operator, config.draws, config.epsilons, seed=config.seed
     )
-    return _finish_rows(config, _evaluate_grid(prepared, config.epsilons))
+    return _finish_rows(config, [_evaluate_grid(prepared, config.epsilons)])
 
 
 def cmd_quantize(config: argparse.Namespace) -> int:
@@ -283,7 +308,7 @@ def cmd_reduce(config: argparse.Namespace) -> int:
         "equivalence": entries,
         "failures": failures,
     }
-    _emit(config, json.dumps(document, indent=2) + "\n")
+    _emit(config, [json.dumps(document, indent=2) + "\n"])
     for failure in failures:
         sys.stderr.write(f"violation: {failure}\n")
     return 2 if failures else 0

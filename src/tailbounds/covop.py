@@ -62,8 +62,25 @@ def accumulate_outer(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _quadratic_values(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """The quadratic form x^T M x of every row x."""
-    return np.einsum("ij,jk,ik->i", rows, matrix, rows)
+    """The quadratic form x^T M x of every row x, 256 rows at a time.
+
+    einsum takes a column-major block without the iterator buffers a
+    row-major one costs.  It adds each row's terms in one order for every
+    column-major block of two rows or more, the order it uses on a long
+    row-major array, but in another for a lone row at dim 2.  So the last
+    block is the last 256 rows, overlapping the one before, and a lone row
+    goes in twice: each row gets its value whatever array it is in.
+    """
+    n = len(rows)
+    if n <= 256:
+        block = np.asfortranarray(rows[[0, 0]] if n == 1 else rows)
+        return np.einsum("ij,jk,ik->i", block, matrix, block)[:n]
+    values = np.empty(n)
+    for i in range(0, n, 256):
+        i = min(i, n - 256)
+        block = np.asfortranarray(rows[i : i + 256])
+        values[i : i + 256] = np.einsum("ij,jk,ik->i", block, matrix, block)
+    return values
 
 
 @dataclass(frozen=True, eq=False)

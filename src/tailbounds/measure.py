@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
@@ -205,67 +206,134 @@ def save_measure(measure: DiscreteMeasure, path) -> None:
         fh.writelines(_measure_json(measure))
 
 
-def _after(text: str, i: int, char: str) -> int:
-    """Index past `char`, which must stand at text[i], and the whitespace after it."""
-    if not text.startswith(char, i):
-        raise ValueError(f"expected {char!r} at {i}")
-    return _JSON_SPACE.match(text, i + 1).end()
+class _Text:
+    """A text file read _BLOCK_CHARS characters at a time: `buf` from `i` is
+    what has been read and not yet taken."""
+
+    def __init__(self, fh):
+        self.fh, self.buf, self.i, self.eof = fh, "", 0, False
+
+    def more(self, chars: int = 0) -> bool:
+        """Read on by _BLOCK_CHARS characters, or by as many blocks as make at
+        least `chars`; False at the end of the file."""
+        parts, read = [self.buf[self.i :]], 0
+        while not self.eof:
+            parts.append(self.fh.read(_BLOCK_CHARS))
+            read += len(parts[-1])
+            self.eof = not parts[-1]
+            if read >= chars:
+                break
+        self.buf, self.i = "".join(parts), 0
+        return read > 0
+
+    def space(self) -> None:
+        """Take whitespace, reading on while it runs to the end of what was read."""
+        while True:
+            self.i = _JSON_SPACE.match(self.buf, self.i).end()
+            if self.i < len(self.buf) or not self.more():
+                return
+
+    def take(self, char: str) -> None:
+        """Take whitespace, `char`, which must come next, and the whitespace after it."""
+        self.space()
+        if not self.buf.startswith(char, self.i):
+            raise ValueError(f"expected {char!r}")
+        self.i += 1
+        self.space()
+
+    def value(self):
+        """raw_decode of the next value, reading on while it may run past what was read:
+        a number cut after a digit or a '.', 'e', '+' or '-' could go on."""
+        while True:
+            pending = len(self.buf) - self.i  # doubled per retry: linear in the value
+            try:
+                value, end = _DECODER.raw_decode(self.buf, self.i)
+            except ValueError:
+                if self.eof or not self.more(pending):
+                    raise
+                continue
+            if self.eof or (end < len(self.buf) and self.buf[end] not in "0123456789.eE+-"):
+                self.i = end
+                return value
+            self.more(pending)
 
 
-def _read_array(text: str, start: int, separator: str) -> tuple[np.ndarray, int]:
-    """The JSON array at text[start] as a float array, and the index past it.
+def _read_array(text: _Text, separator: str) -> np.ndarray:
+    """The JSON array at the reader's '[' as a float array, taken whole.
 
     It ends at its last ']' before the next '"', and is parsed a block of
-    about _BLOCK_CHARS characters at a time, cut after a `separator`.
-    Nonempty blocks that all parse make the span one valid JSON array
-    wherever the cuts fall; np.concatenate refuses rows of unequal shape.
+    about _BLOCK_CHARS characters at a time, cut after a `separator`.  Until
+    that '"' has been read, the last ']' read bounds the end from below, so
+    the cuts fall where they would in the whole text.  Nonempty blocks that
+    all parse make the span one valid JSON array wherever the cuts fall;
+    np.concatenate refuses rows of unequal shape.
     """
-    quote = text.find('"', start)  # the next key, if the array is not the last value
-    end = text.rindex("]", start, len(text) if quote == -1 else quote)
-    blocks, i = [], start + 1
+    text.i += 1
+    blocks = []
     while True:
-        cut = text.find(separator, i + _BLOCK_CHARS, end)
-        cut = end if cut == -1 else cut + len(separator) - 1
-        block = np.asarray(json.loads("[" + text[i:cut] + "]"), dtype=float)
-        if not len(block) and (blocks or cut < end):  # a separator without a value
-            raise ValueError(f"empty block at {i}")
+        buf, i = text.buf, text.i
+        quote = buf.find('"', i)  # the next key, if the array is not the last value
+        if quote == -1 and not text.eof:
+            end, bound = -1, buf.rfind("]", i)
+        else:
+            end = bound = buf.rindex("]", i, len(buf) if quote == -1 else quote)
+        cut = buf.find(separator, i + _BLOCK_CHARS, max(bound, 0))
+        if cut != -1:
+            cut += len(separator) - 1
+        elif end == -1:  # no cut nor end read yet: read on, doubling what is held
+            text.more(len(buf) - i)
+            continue
+        else:
+            cut = end
+        block = np.asarray(json.loads("[" + buf[i:cut] + "]"), dtype=float)
+        if not len(block) and (blocks or cut != end):  # a separator without a value
+            raise ValueError("empty block")
         blocks.append(block)
+        text.i = cut + 1
         if cut == end:
-            return np.concatenate(blocks), end + 1
-        i = cut + 1
+            return np.concatenate(blocks)
 
 
-def _read_measure_object(text: str) -> dict:
-    """json.loads(text) of one measure object, its atoms and weights as float arrays."""
-    i = _after(text, _JSON_SPACE.match(text).end(), "{")
+def _read_measure_object(fh) -> dict:
+    """json.load(fh) of one measure object, its atoms and weights as float arrays."""
+    text = _Text(fh)
+    text.take("{")
     data = {}
     while True:
-        key, i = _DECODER.raw_decode(text, i)
+        key = text.value()
         if type(key) is not str:
             raise ValueError(f"object key {key!r} is not a string")
-        i = _after(text, _JSON_SPACE.match(text, i).end(), ":")
-        if key in ("atoms", "weights") and text.startswith("[", i):
-            data[key], i = _read_array(text, i, "]," if key == "atoms" else ",")
+        text.take(":")
+        if key in ("atoms", "weights") and text.buf.startswith("[", text.i):
+            data[key] = _read_array(text, "]," if key == "atoms" else ",")
         else:
-            data[key], i = _DECODER.raw_decode(text, i)
-        i = _JSON_SPACE.match(text, i).end()
-        if text.startswith("}", i) and _after(text, i, "}") == len(text):
+            data[key] = text.value()
+        text.space()
+        if text.buf.startswith("}", text.i):
+            text.i += 1
+            text.space()
+            if text.i < len(text.buf):
+                raise ValueError("text after the object")
             return data
-        i = _after(text, i, ",")
+        text.take(",")
 
 
 def load_measure(path) -> DiscreteMeasure:
-    """Read a measure file, its atoms and weights a block of rows at a time.
+    """Read a measure file _BLOCK_CHARS characters at a time, its atoms and
+    weights parsed a block of rows at a time.
 
-    A text that _read_measure_object does not take goes through json.loads
-    whole, so every error is the one json or from_dict gives.
+    A text that _read_measure_object does not take is read again from the
+    start and goes through json.loads whole, so every error is the one json
+    or from_dict gives.
     """
     with open(path) as fh:
-        text = fh.read()
-    try:
-        data = _read_measure_object(text)
-    except (ValueError, TypeError, OverflowError, RecursionError):
-        data = json.loads(text)
+        if not fh.seekable():  # a pipe cannot be read again: hold its text
+            fh = io.StringIO(fh.read())
+        try:
+            data = _read_measure_object(fh)
+        except (ValueError, TypeError, OverflowError, RecursionError):
+            fh.seek(0)
+            data = json.loads(fh.read())
     return DiscreteMeasure.from_dict(data)
 
 

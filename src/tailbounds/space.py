@@ -85,7 +85,9 @@ def _coords(x, dim: int | None = None) -> np.ndarray:
 def p_norm_rows(points, p: float) -> np.ndarray:
     """p-norm of each row of a 2-d array, scaled to avoid overflow for large p."""
     p = _check_exponent(p)
-    a = np.abs(np.asarray(points, dtype=float))
+    # row-major whatever the input's layout: numpy sums a contiguous row
+    # pairwise and a strided one in turn, which can differ in the last bit
+    a = np.abs(np.asarray(points, dtype=float), order="C")
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-d array of row vectors, got shape {a.shape}")
     if p == math.inf:

@@ -1,17 +1,29 @@
-"""Shared test helpers: randomized measures, brute-force norm oracles and report rows."""
+"""Shared test helpers: randomized measures, brute-force norm oracles, report
+rows and the dict route the CLI once emitted its rows through."""
 
 from __future__ import annotations
 
 import csv
 import io
 import math
+import sys
 
 import numpy as np
 
-from tailbounds import DiscreteMeasure, PNormSpace, build, invert
-from tailbounds.bounds import REPORT_FIELDS, BoundReport
-from tailbounds.errors import NotPositiveDefiniteError
-from tailbounds.space import p_norm_rows
+from tailbounds import DiscreteMeasure, PNormSpace, build, invert, load_measure, load_sampler
+from tailbounds.bounds import (
+    INEQUALITIES, REPORT_FIELDS, SCALAR, BoundReport, _evaluate_grid, _MeasureState,
+    _mc_prepare, _prepare, rows_to_csv, rows_to_json, sort_rows,
+)
+from tailbounds.cli import (
+    SKIP_NEEDS_DIM1, SKIP_NEEDS_P2, SKIP_NOT_CENTERED, SKIP_NOT_PD, UsageError, _build_parser,
+    _epsilons_from_args,
+)
+from tailbounds.covop import load_operator
+from tailbounds.errors import (
+    ApplicabilityError, CenteringError, NotPositiveDefiniteError, ShapeError, TailboundsError,
+)
+from tailbounds.space import ROLE_PRIMAL, p_norm_rows
 
 EXPONENTS = (1.0, 1.5, 2.0, 3.0, math.inf)
 
@@ -31,6 +43,112 @@ def rows_from_csv(text: str) -> list[dict]:
         row["holds"] = record["holds"] == "true"
         rows.append(row)
     return rows
+
+
+def skip_row(inequality: str, epsilon: float, reason: str) -> dict:
+    """The row the CLI writes for an inequality it did not evaluate."""
+    row = dict.fromkeys(REPORT_FIELDS)  # the fields a skip cannot compute stay None
+    row.update(inequality=inequality, epsilon=float(epsilon), holds=True, method=reason)
+    return row
+
+
+def columns_to_rows(columns) -> list[dict]:
+    """_evaluate_grid's columns as the dict rows it once returned."""
+    inequality, *middle, method = columns
+    return [
+        dict(zip(REPORT_FIELDS, (inequality, *row, method)))
+        for row in zip(*(np.asarray(column).tolist() for column in middle))
+    ]
+
+
+def _dict_route_finish(config, rows: list) -> int:
+    rows = sort_rows(rows)
+    text = rows_to_csv(rows) if config.fmt == "csv" else rows_to_json(rows)
+    if config.out:
+        with open(config.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    violations = [row for row in rows if not row["holds"]]
+    for row in violations:
+        cells = ", ".join(f"{name}={row[name]}" for name in REPORT_FIELDS)
+        sys.stderr.write(f"violation: {cells}\n")
+    return 2 if violations else 0
+
+
+def dict_route_verify(config) -> int:
+    """cmd_verify as it was when every report row was a dict: all rows of all
+    inequalities built, sorted by sort_rows and formatted in one text."""
+    measure = load_measure(config.input)
+    if measure.role != ROLE_PRIMAL:
+        raise ValueError("verify expects a primal measure as input")
+    if config.inequality == "all":
+        names = INEQUALITIES
+    elif config.inequality in INEQUALITIES:
+        names = (config.inequality,)
+    else:
+        raise UsageError(
+            f"--inequality must be 'all' or one of {INEQUALITIES}, got {config.inequality!r}"
+        )
+    pstar = load_measure(config.dual_input) if config.dual_input else None
+    state = _MeasureState(measure)
+    rows: list = []
+    for name in names:
+        try:
+            prepared = _prepare(name, state, pstar)
+        except ApplicabilityError:
+            if config.inequality == "all":
+                continue
+            reason = SKIP_NEEDS_DIM1 if name == SCALAR else SKIP_NEEDS_P2
+            rows.extend(skip_row(name, eps, reason) for eps in config.epsilons)
+            continue
+        except NotPositiveDefiniteError:
+            rows.extend(skip_row(name, eps, SKIP_NOT_PD) for eps in config.epsilons)
+            continue
+        except CenteringError:
+            rows.extend(skip_row(name, eps, SKIP_NOT_CENTERED) for eps in config.epsilons)
+            continue
+        rows.extend(columns_to_rows(_evaluate_grid(prepared, config.epsilons)))
+    return _dict_route_finish(config, rows)
+
+
+def dict_route_mc(config) -> int:
+    """cmd_mc as it was when every report row was a dict."""
+    sampler = load_sampler(config.input)
+    operator = None
+    if (config.statistic == "norm") == bool(config.operator_path):
+        raise UsageError("quad_S and mahalanobis_S need --operator; norm refuses it")
+    if config.operator_path:
+        operator = load_operator(config.operator_path)
+    if config.statistic == "mahalanobis_S":
+        if operator.space.dim != sampler.space.dim:
+            raise ShapeError("sampler and operator dimensions differ")
+        try:
+            operator = invert(operator)
+        except NotPositiveDefiniteError:
+            rows = [skip_row("banach_mahalanobis", eps, SKIP_NOT_PD) for eps in config.epsilons]
+            return _dict_route_finish(config, rows)
+    prepared = _mc_prepare(
+        sampler, config.statistic, operator, config.draws, config.epsilons, seed=config.seed
+    )
+    return _dict_route_finish(config, columns_to_rows(_evaluate_grid(prepared, config.epsilons)))
+
+
+def dict_route_main(argv, epsilons=None) -> int:
+    """cli.main for verify, sweep and mc through the dict route; `epsilons`,
+    when given, replaces the parsed grid (the CLI's own parser only gives
+    one epsilon or an ascending grid)."""
+    try:
+        args = _build_parser().parse_args(argv)
+        args.epsilons = _epsilons_from_args(args) if epsilons is None else tuple(epsilons)
+        run = dict_route_mc if args.command == "mc" else dict_route_verify
+        return run(args)
+    except UsageError as exc:
+        sys.stderr.write(f"usage error: {exc}\n")
+        return 1
+    except (TailboundsError, ValueError, OSError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
 
 
 def random_measure(

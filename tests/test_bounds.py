@@ -1,8 +1,10 @@
 import bisect
 import csv
+import gc
 import io
 import json
 import math
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -36,6 +38,7 @@ from tailbounds.bounds import (
     REPORT_FIELDS,
     SCALAR,
     _evaluate_grid,
+    _grid_rows,
     _MeasureState,
     _mc_prepare,
     _prepare,
@@ -44,7 +47,7 @@ from tailbounds.bounds import (
     rows_to_json,
     sort_rows,
 )
-from tailbounds.cli import SKIP_NEEDS_DIM1, SKIP_NOT_CENTERED, SKIP_NOT_PD, _skip_row
+from tailbounds.cli import SKIP_NEEDS_DIM1, SKIP_NOT_CENTERED, SKIP_NOT_PD
 from tailbounds.covop import _quadratic_values
 from tailbounds.errors import (
     ApplicabilityError,
@@ -58,7 +61,7 @@ from tailbounds.measure import (
 )
 from tailbounds.space import ROLE_DUAL, p_norm_rows
 
-from conftest import EXPONENTS, random_measure, report_to_row, rows_from_csv
+from conftest import EXPONENTS, random_measure, report_to_row, rows_from_csv, skip_row
 
 
 def signs_measure(dim: int, p: float = 2.0, role: str = "primal") -> DiscreteMeasure:
@@ -158,7 +161,9 @@ def test_centered_bounds_match_the_deviation_formula(name, measure):
     assert (prepared.scale, prepared.power, prepared.strict) == (variance, 2, False)
     grid = np.concatenate([values[values > 0.0], np.geomspace(1e-3, 1e3, 13)])
     reference = _Prepared(name, values, tails, False, variance, 2, {})
-    assert _evaluate_grid(prepared, np.unique(grid)) == _evaluate_grid(reference, np.unique(grid))
+    assert _grid_rows(_evaluate_grid(prepared, np.unique(grid))) == _grid_rows(
+        _evaluate_grid(reference, np.unique(grid))
+    )
 
 
 def test_chen_examples():
@@ -507,7 +512,7 @@ def test_mc_grid_matches_the_per_epsilon_count(n_draws):
     # reports came from the sorted statistic's tail sums
     for sampler, statistic, operator, values, scale, power, epsilons in _mc_cases(n_draws):
         prepared = _mc_prepare(sampler, statistic, operator, n_draws, epsilons)
-        rows = _evaluate_grid(prepared, epsilons)
+        rows = _grid_rows(_evaluate_grid(prepared, epsilons))
         for row, epsilon in zip(rows, epsilons, strict=True):
             lhs = float(np.count_nonzero(values >= epsilon)) / n_draws
             half_width = 3.0 * math.sqrt(lhs * (1.0 - lhs) / n_draws)
@@ -684,7 +689,7 @@ def test_grid_rows_match_independent_formulas():
         epsilons = _edge_epsilons(values)
         if prepared.power == 2:
             epsilons = sorted(set(epsilons + odd_squares))
-        rows = _evaluate_grid(prepared, epsilons)
+        rows = _grid_rows(_evaluate_grid(prepared, epsilons))
         assert [row["epsilon"] for row in rows] == epsilons
         for row, epsilon in zip(rows, epsilons, strict=True):
             cut = bisect.bisect_right if prepared.strict else bisect.bisect_left
@@ -721,7 +726,7 @@ def test_exact_lhs_is_the_fraction_sum_of_the_tail_weights():
         values, weights = _per_atom_statistic(name, measure, pstar)
         assert np.array_equal(np.sort(values), prepared.values), name
         epsilons = _edge_epsilons(prepared.values.tolist())
-        for row in _evaluate_grid(prepared, epsilons):
+        for row in _grid_rows(_evaluate_grid(prepared, epsilons)):
             epsilon = row["epsilon"]
             tail = values > epsilon if prepared.strict else values >= epsilon
             exact = sum((Fraction(w) for w in weights[tail].tolist()), Fraction(0))
@@ -747,7 +752,7 @@ def test_rows_to_csv_matches_csv_writer_rows():
         for v in extremes
         for holds, method in ((True, EXACT_ENUMERATION), (False, MONTE_CARLO))
     ]
-    rows += [_skip_row(name, eps, reason) for name, reason in (
+    rows += [skip_row(name, eps, reason) for name, reason in (
         ("chen", SKIP_NOT_CENTERED), ("rao_inverse", SKIP_NOT_PD), ("scalar", SKIP_NEEDS_DIM1),
     ) for eps in (0.5, 1e-300)]
     rows += [report_to_row(r) for r in sweep("euclidean", signs_measure(2), [0.4, 1.0, 3.0])]
@@ -768,7 +773,7 @@ def test_rows_to_json_matches_the_indenting_encoder():
         for v in values
         for holds, method in ((True, EXACT_ENUMERATION), (False, MONTE_CARLO))
     ]
-    rows += [_skip_row(name, eps, reason) for name, reason in (
+    rows += [skip_row(name, eps, reason) for name, reason in (
         ("chen", SKIP_NOT_CENTERED), ("rao_inverse", SKIP_NOT_PD), ("scalar", SKIP_NEEDS_DIM1),
     ) for eps in (0.5, 1e-300)]
     rows.append(dict(rows[0], inequality='a "quoted" \\ name\n\té', method="≤"))
@@ -790,3 +795,58 @@ def test_epsilon_whose_power_leaves_the_float_range_is_a_value_error(epsilon):
         grenander(signs_measure(2), epsilon)
     # power 1 holds them
     assert chen(signs_measure(2), epsilon).rhs == 2.0 / epsilon
+
+
+@pytest.mark.parametrize("dim", [8, 9, 17, 30])
+def test_column_major_measure_reports_equal_the_row_major_ones(dim):
+    """verify --inequality all on one measure stored row- and column-major:
+    the same sorted statistics and rows bit for bit, epsilons on the values."""
+    rng = np.random.default_rng(dim)
+    half = rng.standard_normal((150, dim)) * np.exp(rng.uniform(-2.0, 2.0, (150, dim)))
+    weights = np.tile(rng.uniform(0.5, 1.5, 150), 2)
+    for p in EXPONENTS:
+        space = PNormSpace(dim, p)
+        rows = DiscreteMeasure(space, np.concatenate([half, -half]), weights / weights.sum())
+        columns = DiscreteMeasure(space, np.asfortranarray(rows.atoms), rows.weights)
+        row_state, column_state = _MeasureState(rows), _MeasureState(columns)
+        for name in INEQUALITIES:
+            try:
+                expected = _prepare(name, row_state)
+            except (ApplicabilityError, CenteringError, NotPositiveDefiniteError) as exc:
+                with pytest.raises(type(exc)):
+                    _prepare(name, column_state)
+                continue
+            prepared = _prepare(name, column_state)
+            assert prepared.values.tobytes() == expected.values.tobytes(), (p, name)
+            assert prepared.scale.hex() == expected.scale.hex(), (p, name)
+            on = expected.values[expected.values > 0.0][::7]
+            grid = np.unique(np.concatenate([on, np.geomspace(1e-3, 1e3, 13)]))
+            assert [
+                [v.hex() if isinstance(v, float) else v for v in row.values()]
+                for row in _grid_rows(_evaluate_grid(prepared, grid))
+            ] == [
+                [v.hex() if isinstance(v, float) else v for v in row.values()]
+                for row in _grid_rows(_evaluate_grid(expected, grid))
+            ], (p, name)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.25])
+def test_a_measure_state_is_freed_as_soon_as_it_is_dropped(shift):
+    """verify drops the state before it writes any text; a state that held
+    a reference to itself would wait for the garbage collector."""
+    measure = signs_measure(3)
+    measure = DiscreteMeasure(measure.space, measure.atoms + shift, measure.weights)
+    state = _MeasureState(measure)
+    for name in INEQUALITIES:
+        try:
+            _prepare(name, state)
+        except (ApplicabilityError, CenteringError, NotPositiveDefiniteError):
+            pass
+    assert (state.centered is state) == (shift == 0.0)
+    alive = weakref.ref(state)
+    gc.disable()
+    try:
+        del state
+        assert alive() is None
+    finally:
+        gc.enable()

@@ -21,6 +21,7 @@ from tailbounds import (
     save_measure,
     sweep,
 )
+from tailbounds.bounds import _Columns
 from tailbounds.cli import UsageError, _finish_rows, main, parse_grid
 from tailbounds.covop import save_operator
 from tailbounds.errors import ShapeError
@@ -604,17 +605,11 @@ def test_violation_rows_exit_2(capsys):
     # the evaluators cannot produce a failing row, so the exit-2 wiring is
     # driven with a fabricated one
     config = argparse.Namespace(fmt="csv", out=None)
-    row = {
-        "inequality": "grenander",
-        "epsilon": 1.0,
-        "lhs": 0.9,
-        "ci_halfwidth": 0.0,
-        "rhs": 0.5,
-        "holds": False,
-        "slack": -0.4,
-        "method": "exact-enumeration",
-    }
-    assert _finish_rows(config, [row]) == 2
+    columns = _Columns(
+        "grenander", np.array([1.0]), np.array([0.9]), np.array([0.0]), np.array([0.5]),
+        np.array([False]), np.array([-0.4]), "exact-enumeration",
+    )
+    assert _finish_rows(config, [columns]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("violation:")
     assert "grenander" in captured.err

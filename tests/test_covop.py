@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -408,3 +409,51 @@ def test_operator_validation_and_round_trip(tmp_path):
     assert np.array_equal(back.matrix, op.matrix)
     assert back.second_moment == op.second_moment
     assert back.space == op.space
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 17, 30])
+def test_quadratic_values_is_bitwise_the_whole_array_einsum(dim):
+    """The blocked column-major evaluation against the one einsum over a
+    row-major array of three rows or more it replaced, in either layout."""
+    for n in (1, 255, 256, 257, 1000, 10_000):
+        rng = np.random.default_rng(1000 * dim + n)
+        rows = rng.standard_normal((n, dim)) * np.exp(rng.uniform(-4.0, 4.0, (n, dim)))
+        factor = rng.standard_normal((dim, dim))
+        matrix = factor @ factor.T
+        longer = np.vstack([rows, np.ones((2, dim))])  # three rows or more
+        whole = np.einsum("ij,jk,ik->i", longer, matrix, longer)[:n]
+        if n >= 3:
+            assert np.einsum("ij,jk,ik->i", rows, matrix, rows).tobytes() == whole.tobytes()
+        for layout in (rows, np.asfortranarray(rows)):
+            assert _quadratic_values(layout, matrix).tobytes() == whole.tobytes(), (dim, n)
+
+
+def test_quadratic_value_of_a_row_does_not_depend_on_its_array():
+    """At dim 2 a lone row, and a row-major pair, took other rounding than a
+    longer array: the declared change is that they now get its values."""
+    rng = np.random.default_rng(131)
+    changed = 0
+    for _ in range(300):
+        rows = rng.standard_normal((40, 2)) * np.exp(rng.uniform(-4.0, 4.0, (40, 2)))
+        factor = rng.standard_normal((2, 2))
+        matrix = factor @ factor.T
+        whole = _quadratic_values(rows, matrix)
+        for n in (1, 2, 3):
+            assert _quadratic_values(rows[:n], matrix).tobytes() == whole[:n].tobytes()
+            before = np.einsum("ij,jk,ik->i", rows[:n], matrix, rows[:n])
+            changed += before.tobytes() != whole[:n].tobytes()
+    assert changed > 0
+
+
+def test_quadratic_values_peak_is_below_the_row_major_einsum():
+    rng = np.random.default_rng(137)
+    rows = rng.standard_normal((10_000, 8))
+    factor = rng.standard_normal((8, 8))
+    matrix = factor @ factor.T
+    tracemalloc.start()
+    try:
+        _quadratic_values(rows, matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 130_000  # the values, 80 KB, and one column-major block; einsum took 213 KB

@@ -5,7 +5,10 @@ DiscreteMeasure.from_dict(json.loads(text)), gives it: the same array
 bytes, shape, role and space, or an exception of the same type and text.
 """
 
+import io
 import json
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -32,15 +35,50 @@ def _outcome(load, path):
 
 def _takes_fast_path(text: str) -> bool:
     try:
-        _read_measure_object(text)
+        _read_measure_object(io.StringIO(text))
     except (ValueError, TypeError, OverflowError, RecursionError):
         return False
     return True
 
 
-def _assert_same(path, data: bytes) -> None:
+class _CountedFile:
+    """A text file that records every read: the size asked for and the length read."""
+
+    def __init__(self, fh, sizes: list):
+        self.fh, self.sizes = fh, sizes
+
+    def read(self, size=-1):
+        text = self.fh.read(size)
+        self.sizes.append((size, len(text)))
+        return text
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _assert_same(path, data: bytes, monkeypatch=None) -> None:
+    """load_measure gives what json gives; with monkeypatch, it also reads
+    the file _BLOCK_CHARS characters at a time, and the whole of it at once
+    only to hand a text it does not take to json, after it has read it."""
     path.write_bytes(data)
-    assert _outcome(load_measure, path) == _outcome(_by_json, path), data[:300]
+    sizes: list = []
+    if monkeypatch is not None:
+        monkeypatch.setattr(tailbounds.measure, "open",
+                            lambda *args: _CountedFile(open(*args), sizes), raising=False)
+    loaded = _outcome(load_measure, path)
+    if monkeypatch is not None:
+        monkeypatch.delattr(tailbounds.measure, "open")
+        block_chars = tailbounds.measure._BLOCK_CHARS
+        blocks = sizes[:-1] if sizes[-1][0] == -1 else sizes
+        assert blocks and {size for size, _ in blocks} == {block_chars}, sizes[:20]
+        assert sizes[-1][0] == -1 or sizes[-1][1] < block_chars  # the whole file was read
+    assert loaded == _outcome(_by_json, path), data[:300]
 
 
 def _measure(n: int, dim: int, seed: int = 0, p=2.0, role="primal") -> DiscreteMeasure:
@@ -105,7 +143,7 @@ def test_mutated_documents_load_as_json_loads_them(tmp_path, monkeypatch, block_
         for _ in range(375):
             text = _mutate(base, rng)
             fast += _takes_fast_path(text)
-            _assert_same(path, text.encode())
+            _assert_same(path, text.encode(), monkeypatch)
         assert fast > 25  # the comparison is not all fallbacks
 
 
@@ -172,11 +210,11 @@ _HAND_WRITTEN = {
 }
 
 
-@pytest.mark.parametrize("block_chars", [2**16, 1])
+@pytest.mark.parametrize("block_chars", [2**16, 8, 1])
 @pytest.mark.parametrize("name", sorted(_HAND_WRITTEN))
 def test_hand_written_documents_load_as_json_loads_them(tmp_path, monkeypatch, name, block_chars):
     monkeypatch.setattr(tailbounds.measure, "_BLOCK_CHARS", block_chars)
-    _assert_same(tmp_path / "m.json", _HAND_WRITTEN[name].encode())
+    _assert_same(tmp_path / "m.json", _HAND_WRITTEN[name].encode(), monkeypatch)
 
 
 def test_non_utf8_byte_fails_as_json_load_does(tmp_path):
@@ -225,11 +263,10 @@ def test_measures_of_several_blocks_never_parse_the_whole_text(tmp_path, monkeyp
         _assert_same(path, damaged.encode())
 
 
-def test_load_measure_peak_is_the_read_not_the_lists(tmp_path):
+def test_load_measure_peak_is_the_arrays_not_the_file(tmp_path):
     measure = _measure(20_000, 8, seed=11)
     path = tmp_path / "m.json"
     path.write_text(_bench_text(measure))
-    size = path.stat().st_size
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -238,5 +275,61 @@ def test_load_measure_peak_is_the_read_not_the_lists(tmp_path):
     finally:
         tracemalloc.stop()
     assert loaded.atoms.tobytes() == measure.atoms.tobytes()
-    # the read holds the file's bytes and its text at once: 2x the file
-    assert peak < 2.25 * size
+    # the atom blocks and their concatenation, the weights and two blocks of
+    # text: 1.97x the arrays; a read of the whole file took 5.3x
+    assert peak < 2.25 * (loaded.atoms.nbytes + loaded.weights.nbytes)
+
+
+def test_a_pipe_loads_and_fails_as_a_file_does(tmp_path):
+    """A pipe cannot be read again from the start, so its text is held."""
+    for text in (_doc(), _HAND_WRITTEN["truncated"], _HAND_WRITTEN["extra-key"]):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,))
+        writer.start()
+        try:
+            piped = _outcome(load_measure, fifo)
+        finally:
+            writer.join()
+            fifo.unlink()
+        (tmp_path / "m.json").write_text(text)
+        assert piped == _outcome(_by_json, tmp_path / "m.json")
+
+
+@pytest.mark.parametrize("pad", range(16))
+def test_values_cut_by_a_read_take_the_block_reader(monkeypatch, pad):
+    """With 8-character reads, every cut through a number, a literal or a
+    key falls somewhere in these values; each is read on, not refused."""
+    monkeypatch.setattr(tailbounds.measure, "_BLOCK_CHARS", 8)
+    text = " " * pad + _doc()[:-2] + (
+        ', "n": -12345.678e-3, "m": 1E+22, "t": true, "f": false, "z": null, "x": NaN, '
+        '"y": -Infinity, "long key of a small value": 0.000125}\n'
+    )
+    assert _takes_fast_path(text)
+    data = _read_measure_object(io.StringIO(text))
+    expected = json.loads(text)
+    assert json.dumps({k: v for k, v in data.items() if k not in ("atoms", "weights")}) == (
+        json.dumps({k: v for k, v in expected.items() if k not in ("atoms", "weights")})
+    )
+
+
+@pytest.mark.parametrize("long", ["value", "row"])
+def test_a_long_value_is_read_on_a_doubling_number_of_times(monkeypatch, long):
+    """A value or an atom row longer than a block is read on by doubling
+    what is held, so it is copied and decoded O(log length) times."""
+    monkeypatch.setattr(tailbounds.measure, "_BLOCK_CHARS", 8)
+    calls = []
+    real = tailbounds.measure._Text.more
+
+    def more(self, chars=0):
+        calls.append(chars)
+        return real(self, chars)
+
+    monkeypatch.setattr(tailbounds.measure._Text, "more", more)
+    if long == "value":
+        text = _doc()[:-2] + ', "note": "' + "x" * 100_000 + '"}\n'
+    else:
+        row = ", ".join(["1.5"] * 20_000)
+        text = _doc(atoms=f"[[{row}]]", weights="[1.0]", head='"dim": 20000, "p": 2.0')
+    assert _takes_fast_path(text)
+    assert len(calls) < 100

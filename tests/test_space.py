@@ -420,3 +420,19 @@ def test_operator_norm_rejects_bad_input():
         operator_norm(np.ones(3), 2.0, 2.0)
     with pytest.raises(ValueError):
         operator_norm(np.array([[math.inf]]), 2.0, 2.0)
+
+
+@pytest.mark.parametrize("dim", [8, 9, 17, 30])
+def test_atom_norms_do_not_depend_on_the_memory_layout(dim):
+    """numpy sums a contiguous row pairwise and a strided one in turn; the
+    norms are taken of a row-major copy, so a column-major measure's norms
+    are the row-major ones bit for bit."""
+    rng = np.random.default_rng(dim)
+    atoms = rng.standard_normal((500, dim)) * np.exp(rng.uniform(-4.0, 4.0, (500, dim)))
+    weights = np.full(500, 1.0 / 500)
+    for p in EXPONENTS:
+        space = PNormSpace(dim, p)
+        rows = DiscreteMeasure(space, atoms, weights)
+        columns = DiscreteMeasure(space, np.asfortranarray(atoms), weights)
+        assert columns.atoms.flags.f_contiguous and not columns.atoms.flags.c_contiguous
+        assert columns.atom_norms().tobytes() == rows.atom_norms().tobytes(), p
