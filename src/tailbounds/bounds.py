@@ -6,11 +6,11 @@ semantics follow the source results clause by clause: the quadratic-form
 bounds named rao_* use a strict ">" event, everything else uses ">=".
 RHS values above 1 are reported as-is; a vacuous bound still holds.
 
-A statistic is sorted once, with the exact tail sums of its weights, and
-then evaluated on a whole epsilon grid at a time (_evaluate_grid): one
-binary search places every epsilon, one pass sums the selected tails, and
-the report invariants are checked once per grid.  A single epsilon is the
-one-point grid.
+Every LHS is the weight at or beyond a point of an epsilon grid: one
+primitive (_grid_tails) sorts a statistic, exact or sampled, once and cuts
+its weights at every grid point into exact tail sums.  A whole grid is
+evaluated at a time (_evaluate_grid), the report invariants checked once per
+grid.  A single epsilon is the one-point grid.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .errors import (
     ShapeError,
 )
 from .measure import (
-    _CHUNK_DRAWS, DiscreteMeasure, Sampler, _exact_sum, _moment_from_norms, _rounded, _sorted_tails,
+    _CHUNK_DRAWS, DiscreteMeasure, Sampler, _exact_sum, _grid_tails, _moment_from_norms, _rounded,
     mean, second_moment,
 )
 from .space import ROLE_DUAL, p_norm_rows
@@ -152,19 +152,15 @@ class BoundReport:
 
 @dataclass(frozen=True, eq=False)
 class _Prepared:
-    """Per-atom statistic in ascending order, the exact tail sums of its
-    weights (see _sorted_tails) and the c/eps^power form of the bound.
-
-    A Monte Carlo sample has `draws` > 0 and is counted on a grid (see
-    _mc_prepare): `values` are the grid's distinct epsilons in ascending
-    order, `tails` one row of the count of draws >= each, then 0, and the
-    LHS is that count / draws.  Only those epsilons can be evaluated.
-    """
+    """One statistic counted on an ascending grid of epsilons, and the
+    c/eps^power form of its bound.  Column j of the (K, G) table `tails` sums
+    exactly (see _grid_tails) to the weight of the event at grid[j]: > eps for
+    the rao_* bounds, else >= eps.  A Monte Carlo sample has `draws` > 0 and
+    one row of counts of draws, and its LHS is that count / draws."""
 
     inequality: str
-    values: np.ndarray
+    grid: np.ndarray
     tails: np.ndarray
-    strict: bool
     scale: float
     power: int
     detail: dict
@@ -188,19 +184,17 @@ class _Columns(NamedTuple):
 def _evaluate_grid(prepared: _Prepared, epsilons) -> _Columns:
     """The report columns of one statistic at every epsilon of a grid.
 
-    One binary search places the whole grid among the sorted values and one
-    pass sums the tail columns it selects, each to its math.fsum.  The RHS
-    is c / eps**power in Python floats, one epsilon at a time, because
-    numpy's array power rounds some squares differently from Python's.
+    Each epsilon must be on the prepared grid; its LHS is its tail column's
+    math.fsum.  The RHS is c / eps**power in Python floats, one epsilon at a
+    time: numpy's array power rounds some squares differently from Python's.
     """
     grid = np.asarray(epsilons, dtype=float)
     for epsilon in (grid.min(), grid.max()):
         _check_epsilon(epsilon)
-    # the tail starts at the first value > eps (strict) or >= eps
-    side = "right" if prepared.strict else "left"
-    if prepared.draws and not np.isin(grid, prepared.values).all():
-        raise ValueError("a Monte Carlo sample is counted only at the epsilons of its grid")
-    lhs = _rounded(prepared.tails[:, np.searchsorted(prepared.values, grid, side=side)])
+    index = prepared.grid.searchsorted(grid)
+    if not np.array_equal(prepared.grid.take(index, mode="clip"), grid):
+        raise ValueError("a statistic is counted only at the epsilons of its grid")
+    lhs = _rounded(prepared.tails[:, index])
     epsilons = grid.tolist()
     try:
         rhs = np.array([prepared.scale / epsilon**prepared.power for epsilon in epsilons])
@@ -259,15 +253,28 @@ def _require_centered(state: _MeasureState, inequality: str) -> None:
 
 
 class _MeasureState:
-    """A measure with its mean, atom norms, second moment, operator, inverse,
-    sorted statistics ||x||, (S x, x) and (S^{-1} x, x), and centered state.
+    """A measure and the epsilons it is evaluated at, with its mean, atom norms,
+    second moment, operator, inverse, statistics (S x, x) and (S^{-1} x, x) in
+    atom order, their tails on the grid, and centered state.
 
-    Each is computed on first use (a failed inversion too, whose error is
-    raised again) and shared by every inequality and epsilon evaluated on it.
+    Each is computed on first use (a failed inversion as its message, raised
+    afresh each time) and shared by every inequality and epsilon evaluated on it.
     """
 
-    def __init__(self, measure: DiscreteMeasure):
-        self.measure = measure
+    def __init__(self, measure: DiscreteMeasure, epsilons):
+        self.measure, self.epsilons, self._tails = measure, epsilons, {}
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        return np.sort(np.asarray(self.epsilons, dtype=float))
+
+    def tails(self, statistic: str, strict: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """The grid and its tails of "norms", "quadratic" or "mahalanobis", > eps
+        if strict, else >= eps; both sides come from one sort of the statistic."""
+        if statistic not in self._tails:
+            values = getattr(self, statistic)
+            self._tails[statistic] = _grid_tails(values, self.measure.weights, self.grid)
+        return self.grid, self._tails[statistic][:, int(strict)]
 
     @cached_property
     def mean(self) -> np.ndarray:
@@ -284,7 +291,7 @@ class _MeasureState:
     @property
     def centered(self) -> _MeasureState:
         """The state of the measure minus its mean: this state when the mean is
-        exactly zero, so there euclidean and scalar share grenander's sorted norms.
+        exactly zero, so there euclidean and scalar share grenander's norm tails.
         Not cached there, so a state holds no reference to itself and is freed
         as soon as it is dropped."""
         return self._shifted if self.mean.any() else self
@@ -293,40 +300,32 @@ class _MeasureState:
     def _shifted(self) -> _MeasureState:
         with np.errstate(over="ignore"):  # an overflow is the measure's own finiteness error
             atoms = self.measure.atoms - self.mean
-        return _MeasureState(replace(self.measure, atoms=atoms))
-
-    @cached_property
-    def sorted_norms(self) -> tuple[np.ndarray, np.ndarray]:
-        """||x|| for every atom x, sorted, with the tail sums of the weights."""
-        return _sorted_tails(self.norms, self.measure.weights)
+        return _MeasureState(replace(self.measure, atoms=atoms), self.epsilons)
 
     @cached_property
     def operator(self) -> CovarianceOperator:
         return build(self.measure, _moment_of=lambda measure: self.second_moment)
 
     @cached_property
-    def _inversion(self) -> InverseOperator | NotPositiveDefiniteError:
+    def _inversion(self) -> InverseOperator | str:
         try:
             return invert(self.operator)
         except NotPositiveDefiniteError as exc:
-            return exc
+            return str(exc)  # not the error, whose traceback's frames would hold this state
 
     @property
     def inverse(self) -> InverseOperator:
-        if isinstance(self._inversion, NotPositiveDefiniteError):
-            raise self._inversion
+        if isinstance(self._inversion, str):
+            raise NotPositiveDefiniteError(self._inversion)
         return self._inversion
 
     @cached_property
-    def quadratic(self) -> tuple[np.ndarray, np.ndarray]:
-        """(S x, x) for every atom x, sorted, with the tail sums of the weights."""
-        values = _quadratic_values(self.measure.atoms, self.operator.matrix)
-        return _sorted_tails(values, self.measure.weights)
+    def quadratic(self) -> np.ndarray:
+        return _quadratic_values(self.measure.atoms, self.operator.matrix)
 
     @cached_property
-    def mahalanobis(self) -> tuple[np.ndarray, np.ndarray]:
-        """(S^{-1} x, x) for every atom x, sorted, with the tail sums of the weights."""
-        return _sorted_tails(mahalanobis(self.inverse, self.measure.atoms), self.measure.weights)
+    def mahalanobis(self) -> np.ndarray:
+        return mahalanobis(self.inverse, self.measure.atoms)
 
 
 def _norm_detail(interval) -> dict:
@@ -351,30 +350,30 @@ def _prepare_euclidean(state: _MeasureState) -> _Prepared:
 
 def _prepare_grenander(state: _MeasureState) -> _Prepared:
     # at p = 2 the exponent is 2 in either role
-    return _Prepared(GRENANDER, *state.sorted_norms, False, state.second_moment, 2, {})
+    return _Prepared(GRENANDER, *state.tails("norms"), state.second_moment, 2, {})
 
 
 def _prepare_chen(state: _MeasureState) -> _Prepared:
     dim = float(state.measure.space.dim)
-    return _Prepared(CHEN, *state.mahalanobis, False, dim, 1, {})
+    return _Prepared(CHEN, *state.tails("mahalanobis"), dim, 1, {})
 
 
 def _prepare_rao_forward(state: _MeasureState) -> _Prepared:
     scale = state.operator.second_moment**2
-    return _Prepared(RAO_FORWARD, *state.quadratic, True, scale, 1, {})
+    return _Prepared(RAO_FORWARD, *state.tails("quadratic", strict=True), scale, 1, {})
 
 
 def _prepare_rao_inverse(state: _MeasureState) -> _Prepared:
     interval = state.inverse.norm_interval
     # the 2->2 norm is exact, so upper == lower here
     scale = (interval.upper * state.operator.second_moment) ** 2
-    return _Prepared(
-        RAO_INVERSE, *state.mahalanobis, True, scale, 1,
-        _norm_detail(interval),
-    )
+    tails = state.tails("mahalanobis", strict=True)
+    return _Prepared(RAO_INVERSE, *tails, scale, 1, _norm_detail(interval))
 
 
-def _prepare_banach_dual(operator: CovarianceOperator, pstar: DiscreteMeasure) -> _Prepared:
+def _prepare_banach_dual(
+    operator: CovarianceOperator, pstar: DiscreteMeasure, epsilons
+) -> _Prepared:
     """banach_dual on an external sample pstar of functionals."""
     if pstar.role != ROLE_DUAL:
         raise RoleError("banach_dual needs a dual-role measure of functionals")
@@ -384,8 +383,9 @@ def _prepare_banach_dual(operator: CovarianceOperator, pstar: DiscreteMeasure) -
         )
     values = _quadratic_values(pstar.atoms, operator.matrix)
     scale = second_moment(pstar) * operator.second_moment
-    sorted_tails = _sorted_tails(values, pstar.weights)
-    return _Prepared(BANACH_DUAL, *sorted_tails, False, scale, 1, {})
+    grid = np.sort(np.asarray(epsilons, dtype=float))
+    tails = _grid_tails(values, pstar.weights, grid)[:, 0]
+    return _Prepared(BANACH_DUAL, grid, tails, scale, 1, {})
 
 
 def _prepare_own_dual(state: _MeasureState) -> _Prepared:
@@ -397,37 +397,35 @@ def _prepare_own_dual(state: _MeasureState) -> _Prepared:
         moment = state.second_moment
     else:
         moment = _moment_from_norms(measure.weights, p_norm_rows(measure.atoms, measure.space.q))
-    return _Prepared(BANACH_DUAL, *state.quadratic, False, moment * operator.second_moment, 1, {})
+    return _Prepared(BANACH_DUAL, *state.tails("quadratic"), moment * operator.second_moment, 1, {})
 
 
 def _prepare_banach_mahalanobis(state: _MeasureState) -> _Prepared:
     interval = state.inverse.norm_interval
     # an inexact norm bracket is consumed through its certified upper endpoint
     scale = interval.upper**2 * state.operator.second_moment**2
-    return _Prepared(
-        BANACH_MAHALANOBIS, *state.mahalanobis, False, scale, 1,
-        _norm_detail(interval),
-    )
+    detail = _norm_detail(interval)
+    return _Prepared(BANACH_MAHALANOBIS, *state.tails("mahalanobis"), scale, 1, detail)
 
 
 def scalar_chebyshev(measure: DiscreteMeasure, epsilon: float) -> BoundReport:
     """P{|X - EX| >= eps} <= Var(X)/eps^2 for a one-dimensional measure."""
-    return _reports(_prepare(SCALAR, _MeasureState(measure)), [epsilon])[0]
+    return _reports(_prepare(SCALAR, _MeasureState(measure, [epsilon])), [epsilon])[0]
 
 
 def euclidean_chebyshev(measure: DiscreteMeasure, epsilon: float) -> BoundReport:
     """P{||X - EX|| >= eps} <= E||X - EX||^2 / eps^2 in the Euclidean norm."""
-    return _reports(_prepare(EUCLIDEAN, _MeasureState(measure)), [epsilon])[0]
+    return _reports(_prepare(EUCLIDEAN, _MeasureState(measure, [epsilon])), [epsilon])[0]
 
 
 def grenander(measure: DiscreteMeasure, epsilon: float) -> BoundReport:
     """Uncentered Hilbert version: P{||X|| >= eps} <= E||X||^2 / eps^2."""
-    return _reports(_prepare(GRENANDER, _MeasureState(measure)), [epsilon])[0]
+    return _reports(_prepare(GRENANDER, _MeasureState(measure, [epsilon])), [epsilon])[0]
 
 
 def chen(measure: DiscreteMeasure, epsilon: float) -> BoundReport:
     """P{X^T Sigma^{-1} X >= eps} <= dim/eps for a centered measure."""
-    return _reports(_prepare(CHEN, _MeasureState(measure)), [epsilon])[0]
+    return _reports(_prepare(CHEN, _MeasureState(measure, [epsilon])), [epsilon])[0]
 
 
 def rao(measure: DiscreteMeasure, epsilon: float) -> tuple[BoundReport, BoundReport]:
@@ -436,7 +434,7 @@ def rao(measure: DiscreteMeasure, epsilon: float) -> tuple[BoundReport, BoundRep
     Forward: P{(SX, X) > eps} <= (E||X||^2)^2 / eps.
     Inverse: P{(S^{-1}X, X) > eps} <= (||S^{-1}|| E||X||^2)^2 / eps.
     """
-    state = _MeasureState(measure)
+    state = _MeasureState(measure, [epsilon])
     forward = _reports(_prepare(RAO_FORWARD, state), [epsilon])[0]
     inverse = _reports(_prepare(RAO_INVERSE, state), [epsilon])[0]
     return forward, inverse
@@ -449,7 +447,7 @@ def banach_dual_bound(
 
     pstar is a measure over functionals (dual role) on the operator's space.
     """
-    return _reports(_prepare_banach_dual(operator, pstar), [epsilon])[0]
+    return _reports(_prepare_banach_dual(operator, pstar, [epsilon]), [epsilon])[0]
 
 
 def banach_mahalanobis_bound(measure: DiscreteMeasure, epsilon: float) -> BoundReport:
@@ -458,7 +456,7 @@ def banach_mahalanobis_bound(measure: DiscreteMeasure, epsilon: float) -> BoundR
     The p->q norm of the inverse may be a bracket; the bound uses the upper
     endpoint and the report's detail carries both endpoints.
     """
-    return _reports(_prepare(BANACH_MAHALANOBIS, _MeasureState(measure)), [epsilon])[0]
+    return _reports(_prepare(BANACH_MAHALANOBIS, _MeasureState(measure, [epsilon])), [epsilon])[0]
 
 
 def _prepare(inequality: str, state: _MeasureState, pstar=None) -> _Prepared:
@@ -467,7 +465,7 @@ def _prepare(inequality: str, state: _MeasureState, pstar=None) -> _Prepared:
     if inequality in CENTERED_ONLY:
         _require_centered(state, inequality)
     if inequality == BANACH_DUAL and pstar is not None:  # else on the atoms as functionals
-        return _prepare_banach_dual(state.operator, pstar)
+        return _prepare_banach_dual(state.operator, pstar, state.epsilons)
     preparers = {
         SCALAR: _prepare_scalar,
         EUCLIDEAN: _prepare_euclidean,
@@ -501,7 +499,7 @@ def sweep(
         raise ValueError("epsilon grid must be strictly ascending")
     if inequality == BANACH_DUAL and pstar is None:
         raise ValueError("banach_dual needs a dual measure (pstar)")
-    return _reports(_prepare(inequality, _MeasureState(measure), pstar), grid)
+    return _reports(_prepare(inequality, _MeasureState(measure, grid), pstar), grid)
 
 
 def mc_tail(
@@ -535,8 +533,8 @@ def _mc_prepare(sampler, statistic, operator, n_draws, epsilons, seed=None) -> _
     """mc_tail's statistic on one sample, counted at the epsilons of a grid.
 
     The sample is drawn once, one chunk at a time (Sampler._blocks), and no
-    draw is kept: each chunk adds its count of draws per cell of the sorted
-    distinct grid, and the squared norms of _MOMENT_CHUNKS chunks reach the
+    draw is kept: each chunk adds its counts of draws at each point of the
+    grid (_grid_tails), and the squared norms of _MOMENT_CHUNKS chunks reach the
     exact moment sum as one block.  Memory is O(chunk + grid) whatever
     n_draws is.  Counts are integers and the sum is exact, so every grid
     point reads the report the sorted whole sample gave; no other epsilon
@@ -557,8 +555,8 @@ def _mc_prepare(sampler, statistic, operator, n_draws, epsilons, seed=None) -> _
         raise ShapeError("sampler and operator dimensions differ")
     if seed is not None:
         sampler = replace(sampler, seed=seed)
-    grid = np.unique(np.asarray(epsilons, dtype=float))
-    counts = np.zeros(len(grid) + 1, dtype=np.int64)  # cell k: draws with k grid points <= them
+    grid = np.sort(np.asarray(epsilons, dtype=float))
+    counts = np.zeros((1, 2, len(grid)), dtype=np.int64)  # draws >= and > each point
     lowest, beyond = 0.0, False  # mahalanobis's clamp over the whole sample; a nan stays
     if statistic == "norm":
         exponent = sampler.space.p
@@ -574,8 +572,7 @@ def _mc_prepare(sampler, statistic, operator, n_draws, epsilons, seed=None) -> _
             if statistic == "mahalanobis_S":
                 low, bad = _clamp(operator, block, values)
                 lowest, beyond = float(np.minimum(lowest, low)), beyond or bad
-            cells = grid.searchsorted(values, side="right")
-            counts += np.bincount(cells, minlength=len(counts))
+            counts += _grid_tails(values, None, grid)
             squares.append(norms**2)
             if i % _MOMENT_CHUNKS == 0 or i * _CHUNK_DRAWS >= n_draws:
                 yield np.concatenate(squares)
@@ -583,9 +580,6 @@ def _mc_prepare(sampler, statistic, operator, n_draws, epsilons, seed=None) -> _
 
     moment = _exact_sum(squared_norms()) / n_draws
     _check_clamped(lowest, beyond)
-    tails = np.zeros((1, len(counts)))
-    tails[0, :-1] = np.cumsum(counts[:0:-1])[::-1]  # draws >= each grid point
-
     detail: dict = {}
     if statistic == "norm":
         scale, power, inequality = moment, 2, GRENANDER
@@ -595,7 +589,7 @@ def _mc_prepare(sampler, statistic, operator, n_draws, epsilons, seed=None) -> _
         scale, power = operator.norm_interval.upper**2 * moment**2, 1
         inequality = BANACH_MAHALANOBIS
         detail = _norm_detail(operator.norm_interval)
-    return _Prepared(inequality, grid, tails, False, scale, power, detail, n_draws)
+    return _Prepared(inequality, grid, counts[:, 0].astype(float), scale, power, detail, n_draws)
 
 
 def sort_rows(rows) -> list[dict]:

@@ -160,7 +160,7 @@ def _verify_grids(config: argparse.Namespace) -> list:
             f"--inequality must be 'all' or one of {INEQUALITIES}, got {config.inequality!r}"
         )
     pstar = load_measure(config.dual_input) if config.dual_input else None
-    state = _MeasureState(measure)
+    state = _MeasureState(measure, config.epsilons)
     grids: list = []
     for name in names:
         try:
@@ -263,7 +263,7 @@ def cmd_quantize(config: argparse.Namespace) -> int:
 def cmd_reduce(config: argparse.Namespace) -> int:
     measure = load_measure(config.input)
     transport = riesz(measure.space)  # raises on p != 2, naming the rule
-    state = _MeasureState(measure)  # shared by every check and every epsilon
+    state = _MeasureState(measure, config.epsilons)  # shared by every check and epsilon
     operator_gap = verify_ST_equals_SH(
         measure, transport, seed=config.seed, operator=state.operator
     )
@@ -276,7 +276,7 @@ def cmd_reduce(config: argparse.Namespace) -> int:
     failures = []
     if operator_gap > REDUCE_TOL:
         failures.append(f"quadratic forms differ by {operator_gap!r} relative")
-    for epsilon, result in zip(config.epsilons, _equivalence_grid(state, config.epsilons)):
+    for epsilon, result in zip(config.epsilons, _equivalence_grid(state)):
         entry = {"epsilon": epsilon}
         for side in ("forward", "inverse"):
             banach, hilbert = getattr(result, f"{side}_banach"), getattr(result, f"{side}_hilbert")

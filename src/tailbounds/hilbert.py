@@ -28,7 +28,7 @@ from .bounds import (
 )
 from .covop import CovarianceOperator, accumulate_outer, build, invert
 from .errors import ApplicabilityError, RoleError, ShapeError
-from .measure import DiscreteMeasure, second_moment
+from .measure import DiscreteMeasure, _grid_tails, second_moment
 from .space import PNormSpace, ROLE_PRIMAL, _coords
 
 
@@ -187,17 +187,17 @@ def bound_equivalence(measure: DiscreteMeasure, epsilon: float) -> EquivalenceRe
     quadratic-form pair directly, at the same epsilon.
 
     The Riesz image is the measure read as functionals, so each pair shares
-    one sorted statistic: (S x, x) forward, (S^{-1} x, x) inverse.  The LHS
-    values are equal bit for bit unless an atom sits exactly on epsilon,
-    where the strict and non-strict events part ways.  The RHS values agree
-    to rounding.
+    one statistic: (S x, x) forward, (S^{-1} x, x) inverse.  The LHS values
+    are equal bit for bit unless an atom sits exactly on epsilon, where the
+    strict and non-strict events part ways.  The RHS values agree to
+    rounding.
     """
-    return _equivalence_grid(_MeasureState(measure), [epsilon])[0]
+    return _equivalence_grid(_MeasureState(measure, [epsilon]))[0]
 
 
-def _equivalence_grid(state: _MeasureState, epsilons) -> list[EquivalenceResult]:
-    """bound_equivalence at every epsilon of an ascending grid, on one shared state:
-    each pair reads one sorted statistic, state.quadratic or state.mahalanobis."""
+def _equivalence_grid(state: _MeasureState) -> list[EquivalenceResult]:
+    """bound_equivalence at each epsilon of the state's ascending grid: each pair
+    reads the tails of one statistic, state.quadratic or state.mahalanobis."""
     _require_hilbert(state.measure, "the bound equivalence")
     _require_centered(state, "the bound equivalence")
     prepared = (
@@ -206,11 +206,10 @@ def _equivalence_grid(state: _MeasureState, epsilons) -> list[EquivalenceResult]
         _prepare(BANACH_MAHALANOBIS, state),  # inverse, banach
         _prepare(RAO_INVERSE, state),  # inverse, hilbert
     )
-    grid = np.asarray(epsilons, dtype=float)
-    # a hilbert value equal to epsilon, where > and >= part, splits the two searches
+    # > and >= part where an atom, whatever its weight, sits on epsilon: count atoms
     boundaries = [
-        (np.searchsorted(p.values, grid) != np.searchsorted(p.values, grid, side="right")).tolist()
-        for p in prepared[1::2]
+        np.not_equal(*_grid_tails(values, None, state.grid)[0]).tolist()
+        for values in (state.quadratic, state.mahalanobis)
     ]
-    reports = [_reports(p, epsilons) for p in prepared]
+    reports = [_reports(p, state.epsilons) for p in prepared]
     return [EquivalenceResult(*fields) for fields in zip(*reports, *boundaries)]

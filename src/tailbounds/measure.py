@@ -79,18 +79,25 @@ def _exact_sum(terms):
     return float(sums) if sums.ndim == 0 else sums
 
 
-def _sorted_tails(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The keys in ascending order, with the exact tail sums of their weights.
+def _grid_tails(values: np.ndarray, weights: np.ndarray | None, grid: np.ndarray) -> np.ndarray:
+    """The exact tail sums of the weights at every point of an ascending grid.
 
-    Column j of the (K, n + 1) table sums exactly to the weights of keys[j:],
-    so math.fsum of it is their correctly rounded total; column n is zero.
+    In the (K, 2, G) table, [k, 0, j] sums slice k of the weights of values
+    >= grid[j] and [k, 1, j] of values > grid[j]; with weights None each value
+    counts 1, in one integer row.  Every entry is exact, so the rows of any
+    blocks of values stack (or counts add) and _rounded gives each tail.
     """
-    order = np.argsort(keys)
-    slices = list(_slices(weights[order]))  # one grid for all n weights: exact cumsums
-    tails = np.zeros((len(slices), len(keys) + 1))
-    for row, q in zip(tails, slices):
-        row[:-1] = np.cumsum(q[::-1])[::-1]
-    return keys[order], tails
+    order = np.argsort(values)
+    ranked = values[order]
+    cuts = np.array([ranked.searchsorted(grid, "left"), ranked.searchsorted(grid, "right")])
+    if weights is None:
+        return (len(values) - cuts)[None]
+    heads = np.zeros(len(values) + 1)
+    rows = []
+    for q in _slices(weights[order]):  # one grid per slice: exact cumsums and differences
+        np.cumsum(q, out=heads[1:])
+        rows.append(heads[-1] - heads[cuts])
+    return np.array(rows)
 
 
 @dataclass(frozen=True, eq=False)

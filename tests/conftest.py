@@ -23,6 +23,7 @@ from tailbounds.covop import load_operator
 from tailbounds.errors import (
     ApplicabilityError, CenteringError, NotPositiveDefiniteError, ShapeError, TailboundsError,
 )
+from tailbounds.measure import _rounded, _slices
 from tailbounds.space import ROLE_PRIMAL, p_norm_rows
 
 EXPONENTS = (1.0, 1.5, 2.0, 3.0, math.inf)
@@ -50,6 +51,29 @@ def skip_row(inequality: str, epsilon: float, reason: str) -> dict:
     row = dict.fromkeys(REPORT_FIELDS)  # the fields a skip cannot compute stay None
     row.update(inequality=inequality, epsilon=float(epsilon), holds=True, method=reason)
     return row
+
+
+def sorted_tails(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted route exact tails were read from before the grid primitive:
+    the keys in ascending order, with the exact tail sums of their weights.
+
+    Column j of the (K, n + 1) table sums exactly to the weights of keys[j:],
+    so math.fsum of it is their correctly rounded total; column n is zero.
+    """
+    order = np.argsort(keys)
+    slices = list(_slices(weights[order]))  # one grid for all n weights: exact cumsums
+    tails = np.zeros((len(slices), len(keys) + 1))
+    for row, q in zip(tails, slices):
+        row[:-1] = np.cumsum(q[::-1])[::-1]
+    return keys[order], tails
+
+
+def sorted_route_lhs(keys: np.ndarray, weights: np.ndarray, epsilons, strict: bool) -> np.ndarray:
+    """The exact LHS at any epsilons as the sorted route read it: one binary
+    search places them among the sorted keys, then each tail column's fsum."""
+    ordered, tails = sorted_tails(keys, weights)
+    side = "right" if strict else "left"  # the tail starts at the first key > eps or >= eps
+    return _rounded(tails[:, np.searchsorted(ordered, epsilons, side=side)])
 
 
 def columns_to_rows(columns) -> list[dict]:
@@ -91,7 +115,7 @@ def dict_route_verify(config) -> int:
             f"--inequality must be 'all' or one of {INEQUALITIES}, got {config.inequality!r}"
         )
     pstar = load_measure(config.dual_input) if config.dual_input else None
-    state = _MeasureState(measure)
+    state = _MeasureState(measure, config.epsilons)
     rows: list = []
     for name in names:
         try:

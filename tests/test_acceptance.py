@@ -13,23 +13,30 @@ from tailbounds import (
     DiscreteMeasure,
     PNormSpace,
     Sampler,
+    banach_dual_bound,
+    banach_mahalanobis_bound,
     boundedness_check,
     bound_equivalence,
     build,
     cauchy_estimate,
     chen,
     dual_norm,
+    euclidean_chebyshev,
     grenander,
+    invert,
     inverse_norm_pair,
+    mahalanobis,
     mc_tail,
     operator_norm,
     quad_form,
     quantize,
+    rao,
     riesz,
     scalar_chebyshev,
     sweep,
     verify_ST_equals_SH,
 )
+from tailbounds.covop import _quadratic_values
 from tailbounds.measure import GAUSSIAN, quantize_points
 from tailbounds.space import p_norm, p_norm_rows
 
@@ -201,7 +208,33 @@ def test_criterion_6_tightness_witnesses():
     fair = DiscreteMeasure(PNormSpace(1, 2.0), [[-1.0], [1.0]], [0.5, 0.5])
     flat = scalar_chebyshev(fair, 1.0)
     assert flat.lhs == 1.0 and flat.rhs == 1.0
-    print("criterion 6: PASS - chen/grenander tight for n=1..6, scalar tight at 1")
+
+    def within_4_ulps(report):
+        assert abs(report.lhs - report.rhs) <= 4 * math.ulp(report.lhs), report
+        return report
+
+    a, b, sigma = 0.7, 1.7, 0.1
+    three = DiscreteMeasure(PNormSpace(1, 2.0), [[-a], [0.0], [a]], [sigma, 1 - 2 * sigma, sigma])
+    assert within_4_ulps(euclidean_chebyshev(three, a)).lhs == 2 * sigma
+    pair = DiscreteMeasure(PNormSpace(1, 2.0), [[-a], [a]], [0.5, 0.5])
+    operator = build(pair)
+    # a strict event is approached from below the package's own statistic, not below a**4
+    forward = _quadratic_values(pair.atoms, operator.matrix).min()
+    inverse = mahalanobis(invert(operator), pair.atoms).min()
+    below = [math.nextafter(math.nextafter(value, 0.0), 0.0) for value in (forward, inverse)]
+    assert within_4_ulps(rao(pair, below[0])[0]).lhs == 1.0
+    assert within_4_ulps(rao(pair, below[1])[1]).lhs == 1.0
+    assert (rao(pair, forward)[0].lhs, rao(pair, inverse)[1].lhs) == (0.0, 0.0)  # > eps, strictly
+    for p in (1.5, 3.0, math.inf):
+        spread = DiscreteMeasure(PNormSpace(1, p), [[-a], [a]], [0.5, 0.5])
+        assert within_4_ulps(banach_mahalanobis_bound(spread, 1.0)).lhs == 1.0
+    functionals = DiscreteMeasure(PNormSpace(1, 2.0), [[-b], [b]], [0.5, 0.5], "dual")
+    assert within_4_ulps(banach_dual_bound(operator, functionals, a * a * b * b)).lhs == 1.0
+    print(
+        "criterion 6: PASS - chen/grenander tight for n=1..6, scalar tight at 1; "
+        "euclidean, rao_forward, rao_inverse, banach_mahalanobis and banach_dual "
+        "tight within 4 ulps"
+    )
 
 
 def test_criterion_7_reduction_equivalence():

@@ -1,4 +1,3 @@
-import bisect
 import csv
 import gc
 import io
@@ -57,11 +56,13 @@ from tailbounds.errors import (
     ShapeError,
 )
 from tailbounds.measure import (
-    GAUSSIAN, SYMMETRIC_ATOMS, UNIFORM_BALL, _exact_sum, _sorted_tails, mean,
+    GAUSSIAN, SYMMETRIC_ATOMS, UNIFORM_BALL, _exact_sum, mean,
 )
 from tailbounds.space import ROLE_DUAL, p_norm_rows
 
-from conftest import EXPONENTS, random_measure, report_to_row, rows_from_csv, skip_row
+from conftest import (
+    EXPONENTS, random_measure, report_to_row, rows_from_csv, skip_row, sorted_route_lhs,
+)
 
 
 def signs_measure(dim: int, p: float = 2.0, role: str = "primal") -> DiscreteMeasure:
@@ -154,16 +155,11 @@ def test_centered_bounds_match_the_deviation_formula(name, measure):
     state; the formula they were computed with before stays the reference."""
     deviations = p_norm_rows(measure.atoms - mean(measure), 2.0)
     variance = _exact_sum(measure.weights * deviations**2)
-    values, tails = _sorted_tails(deviations, measure.weights)
-    prepared = _prepare(name, _MeasureState(measure))
-    assert prepared.values.tobytes() == values.tobytes()
-    assert prepared.tails.tobytes() == tails.tobytes()
-    assert (prepared.scale, prepared.power, prepared.strict) == (variance, 2, False)
-    grid = np.concatenate([values[values > 0.0], np.geomspace(1e-3, 1e3, 13)])
-    reference = _Prepared(name, values, tails, False, variance, 2, {})
-    assert _grid_rows(_evaluate_grid(prepared, np.unique(grid))) == _grid_rows(
-        _evaluate_grid(reference, np.unique(grid))
-    )
+    grid = np.unique(np.concatenate([deviations[deviations > 0.0], np.geomspace(1e-3, 1e3, 13)]))
+    prepared = _prepare(name, _MeasureState(measure, grid))
+    assert (prepared.scale, prepared.power) == (variance, 2)
+    lhs = sorted_route_lhs(deviations, measure.weights, grid, strict=False)
+    assert _evaluate_grid(prepared, grid).lhs.tobytes() == lhs.tobytes()
 
 
 def test_chen_examples():
@@ -648,8 +644,10 @@ def test_exact_lhs_is_fsum_of_the_tail_weights():
         assert all(np.any(values == eps) for eps in on_atoms)
 
 
-def _acceptance_cases(seed: int, per_exponent: int):
-    """(name, prepared, measure, pstar) on criterion 5's kind of random measure."""
+def _acceptance_cases(seed: int, per_exponent: int, extra=()):
+    """(name, prepared, values, weights) on criterion 5's kind of random measure:
+    the statistic's values and weights in atom order, and the statistic
+    prepared on epsilons on those values, below them, above them and `extra`."""
     rng = np.random.default_rng(seed)
     for p in EXPONENTS:
         for _ in range(per_exponent):
@@ -659,9 +657,12 @@ def _acceptance_cases(seed: int, per_exponent: int):
                 names += ["euclidean", "grenander", "chen", "rao_forward", "rao_inverse"]
             if measure.space.dim == 1:
                 names.append("scalar")
-            state, pstar = _MeasureState(measure), replace(measure, role=ROLE_DUAL)
+            pstar = replace(measure, role=ROLE_DUAL)
             for name in names:
-                yield name, _prepare(name, state, pstar), measure, pstar
+                values, weights = _per_atom_statistic(name, measure, pstar)
+                epsilons = _edge_epsilons(sorted(values.tolist())) + list(extra)
+                state = _MeasureState(measure, epsilons)
+                yield name, _prepare(name, state, pstar), values, weights
 
 
 def _edge_epsilons(values: list) -> list:
@@ -682,18 +683,15 @@ def test_grid_rows_match_independent_formulas():
     rng = np.random.default_rng(1005)
     odd_squares = _squares_that_differ(rng, 8)
     strictness = set()
-    for name, prepared, _, _ in _acceptance_cases(1005, 12):
-        values = prepared.values.tolist()
-        assert prepared.strict == name.startswith("rao_")
-        strictness.add(prepared.strict)
-        epsilons = _edge_epsilons(values)
-        if prepared.power == 2:
-            epsilons = sorted(set(epsilons + odd_squares))
+    for name, prepared, values, weights in _acceptance_cases(1005, 12, odd_squares):
+        strict = name.startswith("rao_")
+        strictness.add(strict)
+        epsilons = prepared.grid.tolist()
         rows = _grid_rows(_evaluate_grid(prepared, epsilons))
         assert [row["epsilon"] for row in rows] == epsilons
         for row, epsilon in zip(rows, epsilons, strict=True):
-            cut = bisect.bisect_right if prepared.strict else bisect.bisect_left
-            lhs = math.fsum(prepared.tails[:, cut(values, epsilon)].tolist())
+            tail = values > epsilon if strict else values >= epsilon
+            lhs = math.fsum(weights[tail].tolist())
             rhs = prepared.scale / epsilon**prepared.power
             expected = dict(
                 inequality=name, epsilon=epsilon, lhs=lhs, ci_halfwidth=0.0, rhs=rhs,
@@ -702,7 +700,7 @@ def test_grid_rows_match_independent_formulas():
             assert row == expected, (name, epsilon)
             assert list(row) == list(REPORT_FIELDS)
         # below every value the tail is everything, above every value it is empty
-        assert rows[0]["lhs"] == math.fsum(prepared.tails[:, 0].tolist())
+        assert rows[0]["lhs"] == math.fsum(weights.tolist())
         assert rows[-1]["lhs"] == 0.0
     assert strictness == {False, True}
 
@@ -722,13 +720,12 @@ def _per_atom_statistic(name: str, measure, pstar) -> tuple:
 
 
 def test_exact_lhs_is_the_fraction_sum_of_the_tail_weights():
-    for name, prepared, measure, pstar in _acceptance_cases(1009, 6):
-        values, weights = _per_atom_statistic(name, measure, pstar)
-        assert np.array_equal(np.sort(values), prepared.values), name
-        epsilons = _edge_epsilons(prepared.values.tolist())
+    for name, prepared, values, weights in _acceptance_cases(1009, 6):
+        epsilons = _edge_epsilons(sorted(values.tolist()))
+        assert prepared.grid.tolist() == epsilons and prepared.tails.shape[1] == len(epsilons)
         for row in _grid_rows(_evaluate_grid(prepared, epsilons)):
             epsilon = row["epsilon"]
-            tail = values > epsilon if prepared.strict else values >= epsilon
+            tail = values > epsilon if name.startswith("rao_") else values >= epsilon
             exact = sum((Fraction(w) for w in weights[tail].tolist()), Fraction(0))
             assert row["lhs"] == float(exact), (name, epsilon)
 
@@ -800,7 +797,7 @@ def test_epsilon_whose_power_leaves_the_float_range_is_a_value_error(epsilon):
 @pytest.mark.parametrize("dim", [8, 9, 17, 30])
 def test_column_major_measure_reports_equal_the_row_major_ones(dim):
     """verify --inequality all on one measure stored row- and column-major:
-    the same sorted statistics and rows bit for bit, epsilons on the values."""
+    the same statistics, tails and rows bit for bit, epsilons on the values."""
     rng = np.random.default_rng(dim)
     half = rng.standard_normal((150, dim)) * np.exp(rng.uniform(-2.0, 2.0, (150, dim)))
     weights = np.tile(rng.uniform(0.5, 1.5, 150), 2)
@@ -808,7 +805,15 @@ def test_column_major_measure_reports_equal_the_row_major_ones(dim):
         space = PNormSpace(dim, p)
         rows = DiscreteMeasure(space, np.concatenate([half, -half]), weights / weights.sum())
         columns = DiscreteMeasure(space, np.asfortranarray(rows.atoms), rows.weights)
-        row_state, column_state = _MeasureState(rows), _MeasureState(columns)
+        probe, statistics = _MeasureState(rows, [1.0]), []
+        for statistic in ("norms", "quadratic", "mahalanobis"):
+            try:
+                statistics.append(getattr(probe, statistic))
+            except NotPositiveDefiniteError:
+                pass
+        on = [values[values > 0.0][::7] for values in statistics]
+        grid = np.unique(np.concatenate([*on, np.geomspace(1e-3, 1e3, 13)]))
+        row_state, column_state = _MeasureState(rows, grid), _MeasureState(columns, grid)
         for name in INEQUALITIES:
             try:
                 expected = _prepare(name, row_state)
@@ -817,10 +822,8 @@ def test_column_major_measure_reports_equal_the_row_major_ones(dim):
                     _prepare(name, column_state)
                 continue
             prepared = _prepare(name, column_state)
-            assert prepared.values.tobytes() == expected.values.tobytes(), (p, name)
+            assert prepared.tails.tobytes() == expected.tails.tobytes(), (p, name)
             assert prepared.scale.hex() == expected.scale.hex(), (p, name)
-            on = expected.values[expected.values > 0.0][::7]
-            grid = np.unique(np.concatenate([on, np.geomspace(1e-3, 1e3, 13)]))
             assert [
                 [v.hex() if isinstance(v, float) else v for v in row.values()]
                 for row in _grid_rows(_evaluate_grid(prepared, grid))
@@ -828,6 +831,48 @@ def test_column_major_measure_reports_equal_the_row_major_ones(dim):
                 [v.hex() if isinstance(v, float) else v for v in row.values()]
                 for row in _grid_rows(_evaluate_grid(expected, grid))
             ], (p, name)
+        for statistic in ("norms", "quadratic", "mahalanobis"):
+            if statistic in row_state.__dict__:
+                column = getattr(column_state, statistic)
+                assert column.tobytes() == getattr(row_state, statistic).tobytes(), (p, statistic)
+
+
+def test_a_singular_measure_state_is_freed_as_soon_as_it_is_dropped():
+    """A failed inversion is kept as its message and raised afresh: an error
+    kept on the state would hold the state through its traceback's frames."""
+    atoms = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+    planar = DiscreteMeasure(PNormSpace(3, 2.0), atoms, np.full(4, 0.25))
+    state = _MeasureState(planar, [1.0])
+    messages = []
+    for _ in range(2):
+        try:
+            _prepare("chen", state)
+        except NotPositiveDefiniteError as exc:
+            messages.append(str(exc))
+    assert len(messages) == 2 and messages[0] == messages[1]
+    alive = weakref.ref(state)
+    gc.disable()
+    try:
+        del state
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("n", [10, 10_000])
+def test_a_prepared_statistic_holds_nothing_atom_sized(n):
+    """Every inequality keeps only its grid and K x G tails, whatever n is."""
+    rng = np.random.default_rng(n)
+    half = rng.standard_normal((n // 2, 1))
+    measure = DiscreteMeasure(PNormSpace(1, 2.0), np.concatenate([half, -half]), np.full(n, 1 / n))
+    grid = [0.05, 0.3, 1.0, 2.0, 4.0, 9.0, 20.0]
+    state, pstar = _MeasureState(measure, grid), replace(measure, role=ROLE_DUAL)
+    prepared = [_prepare(name, state) for name in INEQUALITIES]
+    prepared.append(_prepare("banach_dual", state, pstar))
+    for item in prepared:
+        assert item.grid.tolist() == grid and item.tails.shape[1] == len(grid)
+        for name in _Prepared.__dataclass_fields__:
+            assert n not in np.shape(getattr(item, name)), (item.inequality, name)
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.25])
@@ -836,7 +881,7 @@ def test_a_measure_state_is_freed_as_soon_as_it_is_dropped(shift):
     a reference to itself would wait for the garbage collector."""
     measure = signs_measure(3)
     measure = DiscreteMeasure(measure.space, measure.atoms + shift, measure.weights)
-    state = _MeasureState(measure)
+    state = _MeasureState(measure, [0.5, 1.0])
     for name in INEQUALITIES:
         try:
             _prepare(name, state)

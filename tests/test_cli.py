@@ -513,9 +513,9 @@ def test_reduce_names_each_deviating_side(signs_path, capsys, monkeypatch):
         ((0.0, 0.0, False), (0.25, 0.0, False)),
     ]
 
-    def fabricated(state, epsilons):
+    def fabricated(state):
         results = []
-        for epsilon, sides in zip(epsilons, deviations):
+        for epsilon, sides in zip(state.epsilons, deviations):
             fields = {}
             for side, (rhs, lhs, boundary) in zip(("forward", "inverse"), sides):
                 fields[f"{side}_banach"] = SimpleNamespace(lhs=0.5, rhs=epsilon)

@@ -163,6 +163,29 @@ def test_bound_equivalence_boundary_flags():
     assert at_inverse.inverse_hilbert.lhs == 0.0
 
 
+def test_an_atom_of_zero_weight_on_epsilon_is_a_boundary(tmp_path, capsys):
+    """The flags count atoms, not weight: a zero-weight atom whose statistic
+    equals epsilon still parts > from >=, while verify's LHS stays that of
+    the measure without the atom."""
+    space = PNormSpace(1, 2.0)
+    bare = DiscreteMeasure(space, [[1.0], [-1.0]], [0.5, 0.5])
+    tied = DiscreteMeasure(space, [[1.0], [-1.0], [0.5]], [0.5, 0.5, 0.0])
+    # S = 1, so (S x, x) = (S^-1 x, x) = 0.25 at x = 0.5
+    result = bound_equivalence(tied, 0.25)
+    assert (result.forward_boundary, result.inverse_boundary) == (True, True)
+    assert result.forward_banach.lhs == result.forward_hilbert.lhs == 1.0
+    result = bound_equivalence(bare, 0.25)
+    assert (result.forward_boundary, result.inverse_boundary) == (False, False)
+    for epsilon in ("0.25", "0.5"):
+        outputs = []
+        for measure in (bare, tied):
+            save_measure(measure, tmp_path / "m.json")
+            argv = ["verify", "--input", str(tmp_path / "m.json"), "--epsilon", epsilon]
+            assert main(argv + ["--format", "csv"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
 def test_bound_equivalence_off_boundary_lhs_agree():
     rng = np.random.default_rng(157)
     checked = 0

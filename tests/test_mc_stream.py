@@ -3,7 +3,7 @@
 _mc_prepare draws one chunk at a time, counts each chunk's statistic per
 cell of the epsilon grid and sums the moments from blocks.  The oracle here
 is the route it replaced: every draw in one draw_block, the statistic sorted
-with _sorted_tails and each moment one _exact_sum of the whole array.
+with conftest's sorted_tails and each moment one _exact_sum of the whole array.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import json
 import math
 import tracemalloc
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,16 +30,15 @@ from tailbounds.bounds import (
     _holds,
     _mc_prepare,
     _norm_detail,
-    _Prepared,
 )
 from tailbounds.cli import main
 from tailbounds.covop import InverseOperator, _quadratic_values
 from tailbounds.measure import (
-    _CHUNK_DRAWS, GAUSSIAN, SYMMETRIC_ATOMS, UNIFORM_BALL, _exact_sum, _rounded, _sorted_tails,
+    _CHUNK_DRAWS, GAUSSIAN, SYMMETRIC_ATOMS, UNIFORM_BALL, _exact_sum, _rounded,
 )
 from tailbounds.space import NormInterval, p_norm_rows
 
-from conftest import EXPONENTS, random_measure
+from conftest import EXPONENTS, random_measure, sorted_tails
 
 DIM = 8  # at d >= 8 numpy sums a row's terms pairwise, so row layout matters
 SAMPLERS = {
@@ -69,7 +69,7 @@ def operator_for(statistic: str, sampler: Sampler):
     return covariance if statistic == "quad_S" else inverse
 
 
-def draw_all_prepare(sampler, statistic, operator, n_draws) -> _Prepared:
+def draw_all_prepare(sampler, statistic, operator, n_draws) -> SimpleNamespace:
     """The draw-all route: the whole sample in one block, its statistic sorted
     with the tail counts of unit weights, each moment one exact sum."""
     draws = sampler.draw_block(0, n_draws)
@@ -86,11 +86,14 @@ def draw_all_prepare(sampler, statistic, operator, n_draws) -> _Prepared:
         moment = _exact_sum(p_norm_rows(draws, operator.space.p) ** 2) / n_draws
         scale, power = operator.norm_interval.upper**2 * moment**2, 1
         inequality, detail = BANACH_MAHALANOBIS, _norm_detail(operator.norm_interval)
-    tails = _sorted_tails(values, np.ones(n_draws))
-    return _Prepared(inequality, *tails, False, scale, power, detail, n_draws)
+    values, tails = sorted_tails(values, np.ones(n_draws))
+    return SimpleNamespace(
+        inequality=inequality, values=values, tails=tails, scale=scale, power=power,
+        detail=detail, draws=n_draws,
+    )
 
 
-def draw_all_rows(prepared: _Prepared, epsilons) -> list:
+def draw_all_rows(prepared: SimpleNamespace, epsilons) -> list:
     """_evaluate_grid's Monte Carlo rows as they were read from the sorted
     sample, where any epsilon could be placed among the drawn values."""
     n_draws = prepared.draws

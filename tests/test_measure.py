@@ -27,8 +27,9 @@ from tailbounds.measure import (
     SYMMETRIC_ATOMS,
     UNIFORM_BALL,
     _exact_sum,
+    _grid_tails,
     _measure_json,
-    _sorted_tails,
+    _rounded,
     grid_indices,
     load_sampler,
     mean,
@@ -37,7 +38,7 @@ from tailbounds.measure import (
 )
 from tailbounds.space import p_norm, p_norm_rows
 
-from conftest import EXPONENTS, awkward_measure, random_measure
+from conftest import EXPONENTS, awkward_measure, random_measure, sorted_route_lhs, sorted_tails
 
 
 def signs_measure(dim: int, p: float = 2.0) -> DiscreteMeasure:
@@ -567,14 +568,67 @@ def test_exact_sum_is_fsum_over_rows_and_blocks():
 
 
 def test_sorted_tails_give_every_tail_as_fsum():
+    """The sorted route, kept in conftest as the reference for _grid_tails."""
     rng = np.random.default_rng(167)
     keys = rng.standard_normal(300)
     weights = rng.dirichlet(np.ones(300)) * np.exp(rng.uniform(-60.0, 0.0, 300))
-    ordered, tails = _sorted_tails(keys, weights)
+    ordered, tails = sorted_tails(keys, weights)
     assert np.array_equal(ordered, np.sort(keys)) and tails.shape[1] == 301
     by_key = weights[np.argsort(keys)]
     expected = [math.fsum(by_key[j:].tolist()) for j in range(301)]
     assert [math.fsum(tails[:, j]) for j in range(301)] == expected
+
+
+def test_grid_tails_give_every_tail_as_fsum():
+    rng = np.random.default_rng(168)
+    values = np.round(rng.standard_normal(400), 1)  # many ties
+    weights = rng.dirichlet(np.ones(400)) * np.exp(rng.uniform(-60.0, 0.0, 400))
+    weights[::7] = 0.0
+    grid = np.unique(np.concatenate([values[::9], [-9.0, 0.05, 9.0]]))
+    table = _grid_tails(values, weights, grid)
+    assert table.shape == (len(table), 2, len(grid))
+    blocks = np.concatenate([
+        _grid_tails(values[i : i + 64], weights[i : i + 64], grid) for i in range(0, 400, 64)
+    ])
+    counts = _grid_tails(values, None, grid)
+    assert counts.shape == (1, 2, len(grid)) and counts.dtype.kind == "i"
+    for side, event in enumerate((np.greater_equal, np.greater)):
+        expected = [math.fsum(weights[event(values, g)].tolist()) for g in grid.tolist()]
+        assert _rounded(table[:, side]).tolist() == expected
+        assert _rounded(blocks[:, side]).tolist() == expected
+        assert counts[0, side].tolist() == [int(event(values, g).sum()) for g in grid.tolist()]
+
+
+def _tail_corpus(rng, cases: int):
+    """(values, weights, grid) of random measures of up to 3000 atoms:
+    Dirichlet weights, zero weights in a fifth, ties in a third, and grids
+    of atom values with points between and outside them."""
+    for case in range(cases):
+        n = int(rng.integers(1, 3001))
+        values = rng.standard_normal(n) * np.exp(rng.uniform(-5.0, 5.0))
+        if case % 3 == 0:
+            values = values[rng.integers(0, max(1, n // 4), n)]
+        weights = rng.dirichlet(np.full(n, rng.uniform(0.05, 2.0)))
+        if case % 5 == 0:
+            weights[rng.random(n) < 0.3] = 0.0
+            weights /= weights.sum()
+        on = rng.choice(values, min(n, 40))
+        grid = np.unique(np.concatenate([on, np.nextafter(on, np.inf), [values.min() - 1.0]]))
+        yield values, weights, grid
+
+
+def test_grid_tails_give_the_sorted_route_lhs_bit_for_bit():
+    """Old against new on 300 measures, both events: the LHS the sorted route
+    read with one binary search per epsilon, and _grid_tails' rows of
+    512-atom blocks stacked and rounded once."""
+    for values, weights, grid in _tail_corpus(np.random.default_rng(169), 300):
+        blocks = np.concatenate([
+            _grid_tails(values[i : i + 512], weights[i : i + 512], grid)
+            for i in range(0, len(values), 512)
+        ])
+        for side, strict in enumerate((False, True)):
+            old = sorted_route_lhs(values, weights, grid, strict)
+            assert _rounded(blocks[:, side]).tobytes() == old.tobytes()
 
 
 def test_exact_sum_rejects_terms_it_cannot_hold():

@@ -407,7 +407,7 @@ def test_verify_all_sorts_each_statistic_once(
 ):
     path = tmp_path / "m.json"
     save_measure(measure, path)
-    sorted_tails = count_calls(monkeypatch, "_sorted_tails", tailbounds.measure)
+    sorts_made = count_calls(monkeypatch, "_grid_tails", tailbounds.measure)
     original = DiscreteMeasure.__post_init__
     roles = []
 
@@ -421,4 +421,4 @@ def test_verify_all_sorts_each_statistic_once(
         "--format", "csv",
     )
     assert (code, err) == (0, "")
-    assert (len(sorted_tails), roles) == (sorts, constructed)
+    assert (len(sorts_made), roles) == (sorts, constructed)
