@@ -272,9 +272,14 @@ class _MeasureState:
         """The grid and its tails of "norms", "quadratic" or "mahalanobis", > eps
         if strict, else >= eps; both sides come from one sort of the statistic."""
         if statistic not in self._tails:
-            values = getattr(self, statistic)
-            self._tails[statistic] = _grid_tails(values, self.measure.weights, self.grid)
-        return self.grid, self._tails[statistic][:, int(strict)]
+            counts, table = _grid_tails(getattr(self, statistic), self.measure.weights, self.grid)
+            self._tails[statistic] = table, counts[0] != counts[1]
+        return self.grid, self._tails[statistic][0][:, int(strict)]
+
+    def ties(self, statistic: str) -> list:
+        """Whether an atom of any weight sits on each grid point (> and >= part there)."""
+        self.tails(statistic)
+        return self._tails[statistic][1].tolist()
 
     @cached_property
     def mean(self) -> np.ndarray:
@@ -384,7 +389,7 @@ def _prepare_banach_dual(
     values = _quadratic_values(pstar.atoms, operator.matrix)
     scale = second_moment(pstar) * operator.second_moment
     grid = np.sort(np.asarray(epsilons, dtype=float))
-    tails = _grid_tails(values, pstar.weights, grid)[:, 0]
+    tails = _grid_tails(values, pstar.weights, grid)[1][:, 0]
     return _Prepared(BANACH_DUAL, grid, tails, scale, 1, {})
 
 
@@ -556,7 +561,7 @@ def _mc_prepare(sampler, statistic, operator, n_draws, epsilons, seed=None) -> _
     if seed is not None:
         sampler = replace(sampler, seed=seed)
     grid = np.sort(np.asarray(epsilons, dtype=float))
-    counts = np.zeros((1, 2, len(grid)), dtype=np.int64)  # draws >= and > each point
+    counts = np.zeros((2, len(grid)), dtype=np.int64)  # draws >= and > each point
     lowest, beyond = 0.0, False  # mahalanobis's clamp over the whole sample; a nan stays
     if statistic == "norm":
         exponent = sampler.space.p
@@ -572,7 +577,7 @@ def _mc_prepare(sampler, statistic, operator, n_draws, epsilons, seed=None) -> _
             if statistic == "mahalanobis_S":
                 low, bad = _clamp(operator, block, values)
                 lowest, beyond = float(np.minimum(lowest, low)), beyond or bad
-            counts += _grid_tails(values, None, grid)
+            counts += _grid_tails(values, None, grid)[0]
             squares.append(norms**2)
             if i % _MOMENT_CHUNKS == 0 or i * _CHUNK_DRAWS >= n_draws:
                 yield np.concatenate(squares)
@@ -589,7 +594,7 @@ def _mc_prepare(sampler, statistic, operator, n_draws, epsilons, seed=None) -> _
         scale, power = operator.norm_interval.upper**2 * moment**2, 1
         inequality = BANACH_MAHALANOBIS
         detail = _norm_detail(operator.norm_interval)
-    return _Prepared(inequality, grid, counts[:, 0].astype(float), scale, power, detail, n_draws)
+    return _Prepared(inequality, grid, counts[:1].astype(float), scale, power, detail, n_draws)
 
 
 def sort_rows(rows) -> list[dict]:

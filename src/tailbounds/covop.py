@@ -200,11 +200,32 @@ def cauchy_estimate(
     if coarse.role != ROLE_PRIMAL:
         raise RoleError("the second-moment operator is built from a primal measure")
     p, fc = coarse.space.p, _coords(f, coarse.space.dim)
-    terms = (coarse.atoms @ fc) * coarse.atoms.T - (fine.atoms @ fc) * fine.atoms.T
-    lhs = p_norm(_exact_sum(coarse.weights * terms), p)
-    gaps = p_norm_rows(coarse.atoms - fine.atoms, p)
-    sizes = p_norm_rows(coarse.atoms, p) + p_norm_rows(fine.atoms, p)
-    rhs = dual_norm(f, p) * _exact_sum(coarse.weights * (sizes * gaps))
+    w, x, y = coarse.weights, coarse.atoms, fine.atoms
+    step = max(256, 2**14 // coarse.space.dim)  # atoms per block, as in accumulate_outer
+    # no lone last row: `@` takes one row as a dot product, which can round otherwise
+    ends = [*range(step, len(w) - 1, step), len(w)]
+    sums = _exact_sum(
+        _cauchy_terms(np.stack([x[i:j], y[i:j]]), fc, w[i:j], p) for i, j in zip([0, *ends], ends)
+    )
+    return _cauchy_result(sums, f, p)
+
+
+def _cauchy_terms(pair: np.ndarray, fc: np.ndarray, weights, p: float) -> np.ndarray:
+    """cauchy_estimate's terms of a (2, m, dim) block of coupled rows x^n, x^m:
+    w_i (<f, x_i^n> x_i^n - <f, x_i^m> x_i^m) in dim rows, one per coordinate
+    of S_n f - S_m f, then w_i (||x_i^n|| + ||x_i^m||) ||x_i^n - x_i^m||."""
+    coarse, fine = pair
+    terms = np.empty((pair.shape[2] + 1, pair.shape[1]))
+    terms[:-1] = (coarse @ fc) * coarse.T - (fine @ fc) * fine.T
+    sizes = p_norm_rows(pair.reshape(-1, pair.shape[2]), p).reshape(2, -1)
+    terms[-1] = (sizes[0] + sizes[1]) * p_norm_rows(coarse - fine, p)
+    terms *= weights
+    return terms
+
+
+def _cauchy_result(sums: np.ndarray, f, p: float) -> tuple[float, float, bool]:
+    """cauchy_estimate's (lhs, rhs, holds) from the exact sums of its terms."""
+    lhs, rhs = p_norm(sums[:-1], p), dual_norm(f, p) * float(sums[-1])
     return lhs, rhs, lhs <= rhs * (1.0 + CHECK_SLACK)
 
 

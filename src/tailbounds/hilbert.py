@@ -28,7 +28,7 @@ from .bounds import (
 )
 from .covop import CovarianceOperator, accumulate_outer, build, invert
 from .errors import ApplicabilityError, RoleError, ShapeError
-from .measure import DiscreteMeasure, _grid_tails, second_moment
+from .measure import DiscreteMeasure, second_moment
 from .space import PNormSpace, ROLE_PRIMAL, _coords
 
 
@@ -206,10 +206,6 @@ def _equivalence_grid(state: _MeasureState) -> list[EquivalenceResult]:
         _prepare(BANACH_MAHALANOBIS, state),  # inverse, banach
         _prepare(RAO_INVERSE, state),  # inverse, hilbert
     )
-    # > and >= part where an atom, whatever its weight, sits on epsilon: count atoms
-    boundaries = [
-        np.not_equal(*_grid_tails(values, None, state.grid)[0]).tolist()
-        for values in (state.quadratic, state.mahalanobis)
-    ]
+    boundaries = [state.ties("quadratic"), state.ties("mahalanobis")]
     reports = [_reports(p, state.epsilons) for p in prepared]
     return [EquivalenceResult(*fields) for fields in zip(*reports, *boundaries)]

@@ -44,7 +44,8 @@ def _slices(terms: np.ndarray):
     "Fast reproducible floating-point summation", ARITH 2013).
     """
     headroom = max(1, (terms.shape[-1] - 1).bit_length() - 1)  # 2**(headroom+1) >= length
-    top = np.abs(terms).max(axis=-1, initial=0.0, keepdims=True)
+    low = terms.min(axis=-1, initial=0.0, keepdims=True)  # top is max |t|, with no |terms| copy
+    top = np.maximum(terms.max(axis=-1, initial=0.0, keepdims=True), -low)
     if not np.all(top < 2.0 ** (1022 - headroom)):  # t + sigma must not overflow
         raise ValueError(f"terms must be finite and below 2**{1022 - headroom} to sum exactly")
     rest = terms.copy()
@@ -79,25 +80,33 @@ def _exact_sum(terms):
     return float(sums) if sums.ndim == 0 else sums
 
 
-def _grid_tails(values: np.ndarray, weights: np.ndarray | None, grid: np.ndarray) -> np.ndarray:
-    """The exact tail sums of the weights at every point of an ascending grid.
+def _grid_tails(values: np.ndarray, weights: np.ndarray | None, grid: np.ndarray):
+    """The counts and exact tail sums of the weights at every point of an
+    ascending grid, from one sort of the values.
 
-    In the (K, 2, G) table, [k, 0, j] sums slice k of the weights of values
-    >= grid[j] and [k, 1, j] of values > grid[j]; with weights None each value
-    counts 1, in one integer row.  Every entry is exact, so the rows of any
-    blocks of values stack (or counts add) and _rounded gives each tail.
+    In the (2, G) integer counts, [0, j] counts the values >= grid[j] and
+    [1, j] those > grid[j]; in the (K, 2, G) table, [k, 0, j] and [k, 1, j]
+    sum slice k of their weights (None with weights None).  Every entry is
+    exact, so the counts of any blocks of values add, their rows stack, and
+    _rounded gives each tail.
     """
     order = np.argsort(values)
     ranked = values[order]
     cuts = np.array([ranked.searchsorted(grid, "left"), ranked.searchsorted(grid, "right")])
     if weights is None:
-        return (len(values) - cuts)[None]
+        return len(values) - cuts, None
     heads = np.zeros(len(values) + 1)
     rows = []
     for q in _slices(weights[order]):  # one grid per slice: exact cumsums and differences
         np.cumsum(q, out=heads[1:])
         rows.append(heads[-1] - heads[cuts])
-    return np.array(rows)
+    return len(values) - cuts, np.array(rows)
+
+
+def _check_weight_sum(total: float) -> None:
+    """Refuse weights whose exact sum, correctly rounded, is not 1 within WEIGHT_SUM_TOL."""
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,11 +141,7 @@ class DiscreteMeasure:
             )
         if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite and nonnegative")
-        total = _exact_sum(weights)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(
-                f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}"
-            )
+        _check_weight_sum(_exact_sum(weights))
         if self.role not in ROLES:
             raise ValueError(f"role must be one of {ROLES}, got {self.role!r}")
         object.__setattr__(self, "atoms", atoms)
@@ -534,7 +539,8 @@ def grid_indices(points, resolution: float) -> np.ndarray:
 
     trunc(x / delta) alone can land past x when x / delta rounds up across an
     integer (e.g. delta = 0.1, x = 1.7: 17 * 0.1 > 1.7), so indices are walked
-    back toward zero until |k * delta| <= |x| holds coordinatewise.
+    back toward zero, to the integer part of the next float (k - 1, or past
+    2**53 the next float), until |k * delta| <= |x| holds coordinatewise.
     """
     if not (resolution > 0.0 and math.isfinite(resolution)):
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
@@ -542,12 +548,12 @@ def grid_indices(points, resolution: float) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
     k = np.trunc(pts / resolution)
-    over = np.abs(k * resolution) > np.abs(pts)
-    while np.any(over):
-        k = np.where(over, k - np.sign(k), k)
-        over = np.abs(k * resolution) > np.abs(pts)
     if np.any(np.abs(k) > 2.0**62):
         raise ValueError("resolution is too small relative to the data")
+    over = np.abs(k * resolution) > np.abs(pts)
+    while np.any(over):
+        k = np.where(over, np.trunc(np.nextafter(k, 0.0)), k)
+        over = np.abs(k * resolution) > np.abs(pts)
     return k.astype(np.int64)
 
 
@@ -566,25 +572,32 @@ def quantize(
 
 
 def quantize_draws(space, draws, resolution: float, merge: bool = True) -> DiscreteMeasure:
-    """Empirical measure of the rows of draws, each snapped to the grid.
-
-    Coincident grid cells are merged by integer index with integer count
-    accounting, so weights sum to exactly one after a single final division:
-    one lexsort of the index rows, whose runs of equal rows are the cells,
-    in the lexicographic (signed int64) order np.unique(axis=0) would give.
-    With merge=False atoms stay aligned one-to-one with the rows, which is
-    what the coupled two-resolution comparisons need.
+    """Empirical measure of the rows of draws, each snapped to the grid (see
+    _merge).  With merge=False atoms stay aligned one-to-one with the rows,
+    which is what the coupled two-resolution comparisons need.
     """
-    n_samples = draws.shape[0]
     indices = grid_indices(draws, resolution)
     if merge:
-        rows = indices[np.lexsort(indices.T[::-1])]  # lexicographic, first column first
-        first = np.ones(n_samples, dtype=bool)
-        first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-        starts = np.flatnonzero(first)
-        atoms = rows[starts] * resolution
-        weights = np.diff(starts, append=n_samples) / float(n_samples)
-    else:
-        atoms = indices * resolution
-        weights = np.full(n_samples, 1.0 / n_samples)
+        return _merge(space, indices, resolution)
+    n_samples = len(indices)
+    return DiscreteMeasure(space, indices * resolution, np.full(n_samples, 1.0 / n_samples))
+
+
+def _merge(space, indices: np.ndarray, resolution: float) -> DiscreteMeasure:
+    """Empirical measure of grid index rows, coincident cells merged.
+
+    Cells are merged by integer index with integer count accounting, so
+    weights sum to exactly one after a single final division: one lexsort
+    of the index rows, whose runs of equal rows are the cells, in the
+    lexicographic (signed int64) order np.unique(axis=0) would give.
+    """
+    n_samples = len(indices)
+    order = np.lexsort(indices.T[::-1])  # lexicographic, first column first
+    rows = indices[order]
+    first = np.ones(n_samples, dtype=bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    del rows  # the cells' atoms are taken from the indices
+    starts = np.flatnonzero(first)
+    atoms = indices[order[starts]] * resolution
+    weights = np.diff(starts, append=n_samples) / float(n_samples)
     return DiscreteMeasure(space, atoms, weights, ROLE_PRIMAL)

@@ -83,18 +83,30 @@ def _coords(x, dim: int | None = None) -> np.ndarray:
 
 
 def p_norm_rows(points, p: float) -> np.ndarray:
-    """p-norm of each row of a 2-d array, scaled to avoid overflow for large p."""
+    """p-norm of each row of a 2-d array, scaled to avoid overflow for large p.
+
+    Rows are taken a block of at least 2**14 entries at a time, so only one
+    block's copy exists; an array of one block is taken whole.
+    """
     p = _check_exponent(p)
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2:
+        raise ShapeError(f"expected a 2-d array of row vectors, got shape {x.shape}")
+    step = -(-(2**14) // max(x.shape[1], 1))  # rows per block
+    if len(x) <= step:
+        return _block_norms(x, p)
+    return np.concatenate([_block_norms(x[i : i + step], p) for i in range(0, len(x), step)])
+
+
+def _block_norms(x: np.ndarray, p: float) -> np.ndarray:
     # row-major whatever the input's layout: numpy sums a contiguous row
     # pairwise and a strided one in turn, which can differ in the last bit
-    a = np.abs(np.asarray(points, dtype=float), order="C")
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-d array of row vectors, got shape {a.shape}")
+    a = np.abs(x, order="C")
     if p == math.inf:
-        return a.max(axis=1)
+        return _row_max(a)
     if p == 1.0:
         return a.sum(axis=1)
-    m = a.max(axis=1)
+    m = _row_max(a)
     # factor out the max so (a/m)**p stays in [0, 1]; `a` is our own copy
     a /= np.where(m > 0.0, m, 1.0)[:, None]
     if p == 2.0:
@@ -102,6 +114,17 @@ def p_norm_rows(points, p: float) -> np.ndarray:
     else:
         s = np.power(a, p, out=a).sum(axis=1) ** (1.0 / p)
     return np.where(m > 0.0, m * s, 0.0)
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=1), by columns for up to 32 of them and 16 rows a column:
+    numpy reduces many short rows slowly, and a maximum is exact."""
+    if not 0 < a.shape[1] <= 32 or len(a) < 16 * a.shape[1]:
+        return a.max(axis=1)
+    m = a[:, 0].copy()
+    for column in a.T[1:]:
+        np.maximum(m, column, out=m)
+    return m
 
 
 def p_norm(x, p: float) -> float:

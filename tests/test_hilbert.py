@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import tailbounds.bounds
 from tailbounds import (
     DiscreteMeasure,
     PNormSpace,
@@ -258,3 +259,19 @@ def test_bound_equivalence_preconditions():
     lonely = DiscreteMeasure(PNormSpace(2, 3.0), [[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5])
     with pytest.raises(ApplicabilityError):
         bound_equivalence(lonely, 1.0)
+
+
+def test_bound_equivalence_sorts_each_statistic_once(monkeypatch):
+    """The boundary flags are counted in the sort that gives the weighted
+    tails: one _grid_tails per statistic, (S x, x) and (S^-1 x, x)."""
+    original = tailbounds.bounds._grid_tails
+    sorted_values = []
+
+    def counted(values, weights, grid):
+        sorted_values.append(len(values))
+        return original(values, weights, grid)
+
+    monkeypatch.setattr(tailbounds.bounds, "_grid_tails", counted)
+    result = bound_equivalence(signs_measure(2), 0.5)
+    assert result.forward_boundary and not result.inverse_boundary
+    assert sorted_values == [4, 4]

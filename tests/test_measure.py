@@ -302,6 +302,22 @@ def test_grid_indices_never_overshoot():
         assert np.all(np.abs(pts) - snapped <= delta * (1.0 + 1e-9))
 
 
+def test_grid_indices_walk_past_2_53_and_refuse_past_2_62():
+    """Past 2**53 a step of one leaves k where it is: the walk steps to the
+    next float toward zero, so such a resolution ends instead of looping;
+    an index past 2**62, or an infinite one, is refused before the walk."""
+    rng = np.random.default_rng(54)
+    pts = rng.standard_normal((300, 8))
+    k = grid_indices(pts, 1e-17)
+    assert np.abs(k).max() > 2**53
+    assert np.all(np.abs(k * 1e-17) <= np.abs(pts))
+    for delta in (1e-19, 1e-300):
+        with pytest.raises(ValueError, match="resolution is too small"):
+            grid_indices(pts, delta)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="resolution is too small"):
+        grid_indices(np.array([[1e300]]), 1e-300)  # 1e300 / 1e-300 is inf
+
+
 def test_quantize_points_examples():
     q = quantize_points(np.array([[0.37, -0.52]]), 0.1)
     assert np.allclose(q, [[0.3, -0.5]], atol=1e-15)
@@ -585,18 +601,19 @@ def test_grid_tails_give_every_tail_as_fsum():
     weights = rng.dirichlet(np.ones(400)) * np.exp(rng.uniform(-60.0, 0.0, 400))
     weights[::7] = 0.0
     grid = np.unique(np.concatenate([values[::9], [-9.0, 0.05, 9.0]]))
-    table = _grid_tails(values, weights, grid)
+    weighted_counts, table = _grid_tails(values, weights, grid)
     assert table.shape == (len(table), 2, len(grid))
     blocks = np.concatenate([
-        _grid_tails(values[i : i + 64], weights[i : i + 64], grid) for i in range(0, 400, 64)
+        _grid_tails(values[i : i + 64], weights[i : i + 64], grid)[1] for i in range(0, 400, 64)
     ])
-    counts = _grid_tails(values, None, grid)
-    assert counts.shape == (1, 2, len(grid)) and counts.dtype.kind == "i"
+    counts, none = _grid_tails(values, None, grid)
+    assert none is None and counts.shape == (2, len(grid)) and counts.dtype.kind == "i"
+    assert np.array_equal(weighted_counts, counts)
     for side, event in enumerate((np.greater_equal, np.greater)):
         expected = [math.fsum(weights[event(values, g)].tolist()) for g in grid.tolist()]
         assert _rounded(table[:, side]).tolist() == expected
         assert _rounded(blocks[:, side]).tolist() == expected
-        assert counts[0, side].tolist() == [int(event(values, g).sum()) for g in grid.tolist()]
+        assert counts[side].tolist() == [int(event(values, g).sum()) for g in grid.tolist()]
 
 
 def _tail_corpus(rng, cases: int):
@@ -623,7 +640,7 @@ def test_grid_tails_give_the_sorted_route_lhs_bit_for_bit():
     512-atom blocks stacked and rounded once."""
     for values, weights, grid in _tail_corpus(np.random.default_rng(169), 300):
         blocks = np.concatenate([
-            _grid_tails(values[i : i + 512], weights[i : i + 512], grid)
+            _grid_tails(values[i : i + 512], weights[i : i + 512], grid)[1]
             for i in range(0, len(values), 512)
         ])
         for side, strict in enumerate((False, True)):

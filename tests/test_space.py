@@ -23,7 +23,9 @@ from tailbounds import (
     riesz,
 )
 from tailbounds.errors import ShapeError
-from tailbounds.space import exponent_from_json, exponent_to_json, p_norm_rows
+from tailbounds.space import (
+    _block_norms, _row_max, exponent_from_json, exponent_to_json, p_norm_rows,
+)
 
 from conftest import EXPONENTS, grid_norm_estimate, naive_p_norm
 
@@ -436,3 +438,39 @@ def test_atom_norms_do_not_depend_on_the_memory_layout(dim):
         columns = DiscreteMeasure(space, np.asfortranarray(atoms), weights)
         assert columns.atoms.flags.f_contiguous and not columns.atoms.flags.c_contiguous
         assert columns.atom_norms().tobytes() == rows.atom_norms().tobytes(), p
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 9, 17])
+def test_row_norms_in_blocks_are_the_single_pass_bits(dim):
+    """p_norm_rows takes rows a block of at least 2**14 entries at a time:
+    the norms are those of one pass over all rows, in either layout, and a
+    row at a block edge, or alone in the last block, gets them alone too."""
+    step = -(-(2**14) // dim)
+    rng = np.random.default_rng(dim)
+    points = rng.standard_normal((2 * step + 1, dim)) * np.exp(rng.uniform(-4, 4, (1, dim)))
+    edges = [0, step - 1, step, 2 * step - 1, 2 * step]
+    for p in EXPONENTS:
+        whole = _block_norms(points, p)
+        assert p_norm_rows(points, p).tobytes() == whole.tobytes(), p
+        assert p_norm_rows(np.asfortranarray(points), p).tobytes() == whole.tobytes(), p
+        assert [p_norm_rows(points[i : i + 1], p)[0] for i in edges] == whole[edges].tolist()
+
+
+def test_row_norms_copy_one_block_at_a_time():
+    points = np.random.default_rng(3).standard_normal((10_000, 8))
+    tracemalloc.start()
+    try:
+        p_norm_rows(points, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < points.nbytes / 2, peak
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (5, 4), (100, 4), (600, 32), (600, 33), (64, 1)])
+def test_row_max_is_numpys_row_max(shape):
+    a = np.abs(np.random.default_rng(len(shape)).standard_normal(shape))
+    if a.size:
+        a.flat[:: 7] = math.inf
+        a.flat[3 :: 11] = math.nan
+    assert np.array_equal(_row_max(a), a.max(axis=1), equal_nan=True)
