@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 from dataclasses import replace
@@ -32,22 +31,18 @@ from .bounds import (
     _prepare,
     sort_rows,
 )
-from .covop import _cauchy_result, _cauchy_terms, invert, load_operator
+from .covop import invert, load_operator, quantize_estimate
 from .errors import (
     ApplicabilityError, CenteringError, NotPositiveDefiniteError, ShapeError, TailboundsError,
 )
 from .hilbert import _equivalence_grid, riesz, verify_ST_equals_SH
-from .measure import (
-    _CHUNK_DRAWS, _check_weight_sum, _exact_sum, _measure_json, _merge, grid_indices, load_measure,
-    load_sampler, save_measure,
-)
-from .space import ROLE_PRIMAL, conjugate_exponent, p_norm, p_norm_rows
+from .measure import _measure_json, load_measure, load_sampler, save_measure
+from .space import ROLE_PRIMAL, conjugate_exponent, p_norm
 
 FORMATS = ("json", "csv")
 DEFAULT_SEED = 0
 MAX_GRID_POINTS = 10_000
 REDUCE_TOL = 1e-12
-_QUANTIZE_CHUNKS = 2  # draw chunks per quantize block: 512 draws
 
 SKIP_NOT_PD = "skipped: not positive definite"
 SKIP_NOT_CENTERED = "skipped: not centered"
@@ -211,43 +206,15 @@ def cmd_mc(config: argparse.Namespace) -> int:
 
 
 def cmd_quantize(config: argparse.Namespace) -> int:
-    """Quantize one sample in one pass of _QUANTIZE_CHUNKS draw chunks a block,
-    keeping only its (n, dim) grid indices at delta.  A block's couplings at
-    delta and delta / 2 share its rows and the weights 1/n (so the coupling
-    cauchy_estimate checks holds) and feed the error maxima and Cauchy sums."""
     sampler = replace(load_sampler(config.input), seed=config.seed)
     delta = config.resolution
     n = config.n_samples
-    if n < 1:
-        raise ValueError(f"n_samples must be positive, got {n}")
     p = sampler.space.p
     dim = sampler.space.dim
     rng = np.random.default_rng(config.seed)
     functional = rng.standard_normal(dim)
     functional /= p_norm(functional, conjugate_exponent(p))
-    _check_weight_sum(n * (1.0 / n))  # the n weights' exact sum, one rounding of n (1/n)
-    indices = np.empty((n, dim), dtype=np.int64)
-    errors, shrinks = np.zeros(2), np.ones(2, dtype=bool)  # at delta and at delta / 2
-
-    def cauchy_terms():
-        chunks, at = sampler._blocks(0, n), 0
-        while at < n:  # a lone last draw joins the block before, as in cauchy_estimate
-            lone = n - at == _QUANTIZE_CHUNKS * _CHUNK_DRAWS + 1
-            block = list(itertools.islice(chunks, _QUANTIZE_CHUNKS + lone))
-            # row-major, as draw_block's array: `@` can round column-major gaussian chunks otherwise
-            raw = np.concatenate(block, out=np.empty((sum(map(len, block)), dim)))
-            indices[at : at + len(raw)] = coarse = grid_indices(raw, delta)
-            at += len(raw)
-            pair = np.stack([coarse * delta, grid_indices(raw, delta / 2.0) * (delta / 2.0)])
-            if not np.isfinite(pair).all():
-                raise ValueError("atom coordinates must be finite")
-            gaps = p_norm_rows((pair - raw).reshape(-1, dim), p).reshape(2, -1)
-            np.maximum(errors, gaps.max(axis=1), out=errors)
-            np.logical_and(shrinks, np.all(np.abs(pair) <= np.abs(raw), axis=(1, 2)), out=shrinks)
-            yield _cauchy_terms(pair, functional, 1.0 / n, p)
-
-    lhs, rhs, holds = _cauchy_result(_exact_sum(cauchy_terms()), functional, p)
-    snapped = _merge(sampler.space, indices, delta)
+    snapped, errors, shrinks, (lhs, rhs, holds) = quantize_estimate(sampler, n, delta, functional)
 
     def error_stats(k: int, resolution: float) -> dict:
         return {

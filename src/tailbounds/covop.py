@@ -9,6 +9,7 @@ order produce bitwise-identical operators.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -20,7 +21,10 @@ from .errors import (
     RoleError,
     ShapeError,
 )
-from .measure import DiscreteMeasure, _exact_sum, second_moment
+from .measure import (
+    _CHUNK_DRAWS, DiscreteMeasure, Sampler, _check_weight_sum, _exact_sum, _merge, grid_indices,
+    second_moment,
+)
 from .space import (
     NormInterval,
     PNormSpace,
@@ -39,6 +43,7 @@ EIGENVALUE_FLOOR = 1e-10  # relative to the trace
 INVERSE_RESIDUAL_TOL = 1e-8
 MAHALANOBIS_CLAMP = 1e-10
 CHECK_SLACK = 1e-10
+_QUANTIZE_DRAWS = 2 * _CHUNK_DRAWS  # draws per block of quantize_estimate: two whole chunks
 
 
 def accumulate_outer(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -192,6 +197,9 @@ def cauchy_estimate(
     The estimate is ||f||_q sum_i w_i (||x_i^n|| + ||x_i^m||) ||x_i^n - x_i^m||.
     With the weights shared, S_n f - S_m f is taken from its definition:
     each coordinate is one exact sum of w_i (<f, x_i^n> x_i^n - <f, x_i^m> x_i^m).
+    The terms are made a block of atoms at a time, each block copied
+    row-major, so atoms held column-major give the bits of their row-major
+    copy; an exact sum's range limit applies to each block's terms.
     """
     if coarse.space != fine.space or coarse.role != fine.role:
         raise CouplingError("coupled measures must share space and role")
@@ -202,12 +210,54 @@ def cauchy_estimate(
     p, fc = coarse.space.p, _coords(f, coarse.space.dim)
     w, x, y = coarse.weights, coarse.atoms, fine.atoms
     step = max(256, 2**14 // coarse.space.dim)  # atoms per block, as in accumulate_outer
-    # no lone last row: `@` takes one row as a dot product, which can round otherwise
-    ends = [*range(step, len(w) - 1, step), len(w)]
-    sums = _exact_sum(
-        _cauchy_terms(np.stack([x[i:j], y[i:j]]), fc, w[i:j], p) for i, j in zip([0, *ends], ends)
-    )
+    blocks = _row_blocks(len(w), step)
+    sums = _exact_sum(_cauchy_terms(np.array([x[i:j], y[i:j]]), fc, w[i:j], p) for i, j in blocks)
     return _cauchy_result(sums, f, p)
+
+
+def quantize_estimate(sampler: Sampler, n_samples: int, resolution: float, f):
+    """quantize(sampler, n_samples, resolution) with cauchy_estimate's check of
+    it against the draws snapped at resolution / 2, in one pass.
+
+    The draws are taken _QUANTIZE_DRAWS at a time and only their (n, dim) grid
+    indices at resolution are kept.  Both couplings of a block are made from
+    its rows and carry the weights 1/n, so the coupling cauchy_estimate checks
+    holds by construction.  Returns the merged measure; the largest p-norm
+    error and whether every snapped coordinate shrank, at resolution and at
+    resolution / 2 (arrays of two); and cauchy_estimate's (lhs, rhs, holds).
+    """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be positive, got {n_samples}")
+    n, dim, p, half = n_samples, sampler.space.dim, sampler.space.p, resolution / 2.0
+    fc = _coords(f, dim)
+    _check_weight_sum(n * (1.0 / n))  # the n weights' exact sum, one rounding of n (1/n)
+    indices = np.empty((n, dim), dtype=np.int64)
+    errors, shrinks = np.zeros(2), np.ones(2, dtype=bool)
+
+    def terms():
+        chunks = sampler._blocks(0, n)
+        for i, j in _row_blocks(n, _QUANTIZE_DRAWS):  # i is a multiple of _CHUNK_DRAWS
+            block = list(itertools.islice(chunks, -(-(j - i) // _CHUNK_DRAWS)))
+            # row-major, as draw_block's array: `@` can round column-major gaussian chunks otherwise
+            raw = np.concatenate(block, out=np.empty((j - i, dim)))
+            indices[i:j] = coarse = grid_indices(raw, resolution)
+            pair = np.array([coarse * resolution, grid_indices(raw, half) * half])
+            if not np.isfinite(pair).all():
+                raise ValueError("atom coordinates must be finite")
+            gaps = p_norm_rows((pair - raw).reshape(-1, dim), p).reshape(2, -1)
+            np.maximum(errors, gaps.max(axis=1), out=errors)
+            np.logical_and(shrinks, np.all(np.abs(pair) <= np.abs(raw), axis=(1, 2)), out=shrinks)
+            yield _cauchy_terms(pair, fc, 1.0 / n, p)
+
+    estimate = _cauchy_result(_exact_sum(terms()), f, p)
+    return _merge(sampler.space, indices, resolution), errors, shrinks, estimate
+
+
+def _row_blocks(n: int, step: int):
+    """(start, stop) of n rows taken step at a time, with no lone last row:
+    `@` takes one row as a dot product, which can round otherwise."""
+    ends = [*range(step, n - 1, step), n]
+    return zip([0, *ends], ends)
 
 
 def _cauchy_terms(pair: np.ndarray, fc: np.ndarray, weights, p: float) -> np.ndarray:

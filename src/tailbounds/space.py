@@ -117,8 +117,12 @@ def _block_norms(x: np.ndarray, p: float) -> np.ndarray:
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
-    """a.max(axis=1), by columns for up to 32 of them and 16 rows a column:
-    numpy reduces many short rows slowly, and a maximum is exact."""
+    """a.max(axis=1), by columns for up to 32 of them and 16 rows a column: a
+    maximum is exact, and numpy reduces many short rows slowly.  Timed with
+    numpy 2.4.6 on a 2-vCPU VM, the loop wins from 32-64 rows at 2 to 16
+    columns (1024 x 4: 6 us against 65) and from 256-512 rows at 32, and loses
+    on one row (1 x 8: 12 us against 1.7), on dim x dim at dim 4 or 8 and on
+    64 columns."""
     if not 0 < a.shape[1] <= 32 or len(a) < 16 * a.shape[1]:
         return a.max(axis=1)
     m = a[:, 0].copy()

@@ -18,15 +18,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import tailbounds.cli
+import tailbounds.covop
 from tailbounds import DiscreteMeasure, Sampler, cauchy_estimate, quantize
 from tailbounds.cli import UsageError, _build_parser, main
-from tailbounds.covop import CHECK_SLACK
+from tailbounds.covop import CHECK_SLACK, _row_blocks
 from tailbounds.errors import TailboundsError
 from tailbounds.measure import (
     _exact_sum, _measure_json, load_sampler, quantize_draws, save_measure,
 )
-from tailbounds.space import conjugate_exponent, dual_norm, p_norm, p_norm_rows
+from tailbounds.space import PNormSpace, conjugate_exponent, dual_norm, p_norm, p_norm_rows
 
 SAMPLERS = {
     # gaussian chunks are column-major
@@ -193,10 +193,10 @@ def test_quantize_holds_only_the_grid_indices(sampler_paths, tmp_path, capsys, m
         blocks.append(pair.shape[1])
         return cauchy_terms(pair, fc, weights, p)
 
-    cauchy_terms = tailbounds.cli._cauchy_terms
+    cauchy_terms = tailbounds.covop._cauchy_terms
     monkeypatch.setattr(DiscreteMeasure, "__post_init__", counted)
     monkeypatch.setattr(Sampler, "draw_block", refuse)
-    monkeypatch.setattr(tailbounds.cli, "_cauchy_terms", terms)
+    monkeypatch.setattr(tailbounds.covop, "_cauchy_terms", terms)
     path = tmp_path / "q.json"
     code = main(["quantize", "--input", str(sampler_paths["ball-3"]), "--samples", "600",
                  "--resolution", "0.01", "--out", str(path)])
@@ -215,6 +215,50 @@ def test_cauchy_estimate_sums_whole_arrays_bits_in_blocks():
             coarse = quantize(sampler, n, 0.05, merge=False)
             fine = quantize(sampler, n, 0.013, merge=False)
             assert cauchy_estimate(coarse, fine, f) == whole_cauchy(coarse, fine, f), (seed, n)
+
+
+def test_row_blocks_cover_the_rows_with_no_lone_last_row():
+    """The blocks quantize_estimate and cauchy_estimate take rows in: a last
+    row that would stand alone joins the block before."""
+    assert list(_row_blocks(1, 512)) == [(0, 1)]
+    assert list(_row_blocks(512, 512)) == [(0, 512)]
+    assert list(_row_blocks(513, 512)) == [(0, 513)]
+    assert list(_row_blocks(600, 512)) == [(0, 512), (512, 600)]
+    assert list(_row_blocks(1025, 512)) == [(0, 512), (512, 1025)]
+    assert list(_row_blocks(1026, 512)) == [(0, 512), (512, 1024), (1024, 1026)]
+
+
+def test_cauchy_estimate_gives_column_major_atoms_the_row_major_bits():
+    """Each block of atoms is copied row-major before `@`, so a measure that
+    holds its atoms column-major gives the bits of its row-major copy."""
+    f = np.random.default_rng(2).standard_normal(8)
+    sampler = Sampler.from_dict(SAMPLERS["gaussian"])
+    for n in (1, 2, 300, 2049):
+        coupled = [quantize(sampler, n, delta, merge=False) for delta in (0.05, 0.013)]
+        columns = [
+            DiscreteMeasure(m.space, np.asfortranarray(m.atoms), m.weights) for m in coupled
+        ]
+        layout = columns[0].atoms.flags
+        assert layout.f_contiguous and (n == 1 or not layout.c_contiguous)
+        assert cauchy_estimate(*columns, f) == cauchy_estimate(*coupled, f), n
+
+
+def test_cauchy_estimate_range_limit_is_per_block():
+    """An exact sum refuses terms of 2**(1022 - headroom) or more, headroom
+    set by the length summed.  cauchy_estimate sums 256 atoms a block at
+    dim 64, so terms of 2**1014.5 over 512 atoms are summed (the limit is
+    2**1015 for 256 terms), where one sum over all 512 refuses them (2**1014)."""
+    space = PNormSpace(64, 2.0)
+    atoms = np.zeros((512, 64))
+    atoms[:, 0] = 2.0**511.75
+    weights = np.full(512, 1.0 / 512)
+    coarse = DiscreteMeasure(space, atoms, weights)
+    fine = DiscreteMeasure(space, np.zeros((512, 64)), weights)
+    f = np.eye(64)[0]
+    with pytest.raises(ValueError, match="below 2\\*\\*1014 to sum exactly"):
+        whole_cauchy(coarse, fine, f)
+    square = 2.0**511.75 * 2.0**511.75
+    assert cauchy_estimate(coarse, fine, f) == (square, square, True)
 
 
 def test_quantize_peak_is_a_few_index_arrays(tmp_path):
